@@ -17,16 +17,20 @@
 //! comparisons are machine-checkable and hot stages are attributable to
 //! actual work rather than guessed at.
 //!
-//! The final stages (`cluster_profile_{1,2,4}w`) benchmark the sharded
-//! serving tier: real `scap-cluster-worker` processes behind the
-//! consistent-hash coordinator, answering a rotating `/v1/profile`
-//! burst over eight shard keys. Their `requests_per_sec` fields are
-//! what `scripts/check.sh` holds the committed scaling claims against.
+//! The final stages benchmark the serving tier on one rotating
+//! `/v1/profile` burst over eight shard keys: `serve_profile_1p`, one
+//! in-process `scap serve` whose caches hold all eight keys, and
+//! `cluster_profile_{2,4}w`, real `scap-cluster-worker` processes
+//! behind the rendezvous-routed coordinator. Their `requests_per_sec`
+//! fields are what `scripts/check.sh` holds the fleets against: the
+//! cluster exists for crash isolation, and the gate bounds what that
+//! isolation costs next to the single process.
 
 use scap::{ablation, experiments, flows, CaseStudy, PatternAnalyzer};
-use scap_cluster::{ClusterConfig, Coordinator, Ring, DEFAULT_REPLICAS};
-use scap_serve::loadgen;
-use std::time::{Duration, Instant};
+use scap_cluster::{ClusterConfig, Coordinator, Ring};
+use scap_serve::{loadgen, ServeConfig, Server};
+use std::net::SocketAddr;
+use std::time::Instant;
 
 /// One timed pipeline stage: wall-clock plus the counter activity it
 /// caused (deltas of the process-wide `scap-obs` registry across the
@@ -39,7 +43,7 @@ struct Stage {
     /// per wall-clock second), when the stage ran any.
     checks_per_sec: Option<f64>,
     /// HTTP throughput over the stage (completed requests per
-    /// wall-clock second), for the cluster serving stages.
+    /// wall-clock second), for the serving stages.
     requests_per_sec: Option<f64>,
 }
 
@@ -139,64 +143,118 @@ impl StageClock {
     }
 }
 
-/// Scale of the cluster serving-tier stages. Kept as the literal query
-/// string so the shard keys computed here match the ones the
-/// coordinator derives from the request bytes.
-const CLUSTER_SCALE: &str = "0.004";
+/// Scale of the serving-tier stages. Kept as the literal query string
+/// so the shard keys computed here match the ones the coordinator
+/// derives from the request bytes.
+const SERVE_SCALE: &str = "0.004";
 /// Distinct `(scale, seed)` shard keys rotating through the burst.
-const CLUSTER_KEYS: usize = 8;
-/// Per-worker response/design cache capacity: **half** the shard-key
-/// count, so a lone worker cycling through all eight keys evicts every
-/// entry before its next use (LRU's pathological pattern) while two or
-/// four workers hold their four- or two-key shards fully resident.
-const CLUSTER_CACHE_CAP: usize = 4;
+const SERVE_KEYS: usize = 8;
+/// Per-worker response/design cache capacity of the fleets: two
+/// workers hold four keys each, four hold two each — every fleet keeps
+/// its whole shard resident.
+const WORKER_CACHE_CAP: usize = 4;
+/// Pool settings of the single process and of every fleet worker.
+const POOL_THREADS: usize = 2;
+const POOL_QUEUE_DEPTH: usize = 64;
 
 /// `scap-cluster-worker` sits next to this binary when the workspace
-/// was built at the same profile; `None` (stage skipped) otherwise.
+/// was built at the same profile; `None` (fleet stages skipped)
+/// otherwise.
 fn cluster_worker_binary() -> Option<std::path::PathBuf> {
     let exe = std::env::current_exe().ok()?;
     let bin = exe.parent()?.join("scap-cluster-worker");
     bin.is_file().then_some(bin)
 }
 
-/// Eight profile seeds splitting 8 / 4+4 / 2+2+2+2 across the 1-, 2-
-/// and 4-worker fleets, so per-fleet cache residency is by
-/// construction, not luck. Consistent hashing constrains the reachable
-/// `(owner under a 2-slot ring, owner under a 4-slot ring)` pairs:
-/// growing a ring only moves keys *to the new slots*, so a key owned by
-/// slot 0 or 1 on the 4-ring has the same owner on the 2-ring. The
-/// quota below is the unique per-pair count that balances both rings
-/// under that constraint.
+/// Eight profile seeds splitting 4+4 / 2+2+2+2 across the 2- and
+/// 4-worker fleets, so per-fleet cache residency is by construction,
+/// not luck. Rendezvous hashing constrains the reachable `(owner of 2
+/// slots, owner of 4 slots)` pairs: adding slots only moves keys *to
+/// the new slots*, so a key owned by slot 0 or 1 of four has the same
+/// owner of two. The quota below is the unique per-pair count that
+/// balances both fleets under that constraint.
 fn balanced_cluster_seeds() -> Vec<u64> {
-    let scale: f64 = CLUSTER_SCALE.parse().expect("literal parses");
-    let ring2 = Ring::new(2, DEFAULT_REPLICAS);
-    let ring4 = Ring::new(4, DEFAULT_REPLICAS);
+    let scale: f64 = SERVE_SCALE.parse().expect("literal parses");
+    let ring2 = Ring::new(2);
+    let ring4 = Ring::new(4);
     // quota[o2][o4]: keys staying on slot 0/1 pin o2 == o4 (two each);
-    // keys moving to slot 2/3 split evenly between the 2-ring owners.
+    // keys moving to slot 2/3 split evenly between the 2-slot owners.
     let mut quota = [[2, 0, 1, 1], [0, 2, 1, 1]];
-    let mut seeds = Vec::with_capacity(CLUSTER_KEYS);
+    let mut seeds = Vec::with_capacity(SERVE_KEYS);
     for seed in 1..100_000u64 {
         let key = Ring::shard_key(scale, seed);
         let slot = &mut quota[ring2.owner(key)][ring4.owner(key)];
         if *slot > 0 {
             *slot -= 1;
             seeds.push(seed);
-            if seeds.len() == CLUSTER_KEYS {
+            if seeds.len() == SERVE_KEYS {
                 break;
             }
         }
     }
     assert_eq!(
         seeds.len(),
-        CLUSTER_KEYS,
-        "ring-balanced seed quota unfilled below seed 100000"
+        SERVE_KEYS,
+        "balanced seed quota unfilled below seed 100000"
     );
     seeds
 }
 
-/// Boots a `workers`-process fleet behind an in-process coordinator,
-/// warms every shard once (untimed), then times a rotating burst over
-/// the eight shard keys. Returns the burst's requests per second.
+/// Warms every shard key once against `addr` (untimed), then times a
+/// rotating burst over the keys as stage `name`. Returns the burst's
+/// requests per second.
+fn profile_burst(
+    clock: &mut StageClock,
+    name: &'static str,
+    addr: SocketAddr,
+    targets: &[(String, String)],
+) -> f64 {
+    let warm = loadgen::burst_targets(addr, "POST", targets, targets.len(), 1);
+    assert_eq!(warm.transport_errors, 0, "{name}: warm pass lost requests");
+    assert_eq!(
+        warm.count(200),
+        targets.len(),
+        "{name}: warm pass statuses: {:?}",
+        warm.statuses
+    );
+    let per_thread = 4;
+    let report = clock.time(name, || {
+        loadgen::burst_targets(addr, "POST", targets, targets.len(), per_thread)
+    });
+    let expected = targets.len() * per_thread;
+    assert_eq!(report.transport_errors, 0, "{name}: burst lost requests");
+    assert_eq!(
+        report.count(200),
+        expected,
+        "{name}: burst statuses: {:?}",
+        report.statuses
+    );
+    clock.annotate_requests_per_sec(expected)
+}
+
+/// The fair single-process baseline: one in-process server with the
+/// fleet workers' pool settings and caches that hold every key.
+fn serve_stage(clock: &mut StageClock, targets: &[(String, String)]) -> f64 {
+    let server = Server::bind(ServeConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        workers: POOL_THREADS,
+        queue_depth: POOL_QUEUE_DEPTH,
+        cache_capacity: SERVE_KEYS,
+        response_cache_capacity: SERVE_KEYS,
+        ..ServeConfig::default()
+    })
+    .expect("binding the single-process server");
+    let addr = server.local_addr();
+    let shutdown = server.shutdown_handle();
+    let join = std::thread::spawn(move || server.run().expect("server run"));
+    let rps = profile_burst(clock, "serve_profile_1p", addr, targets);
+    shutdown.signal();
+    join.join().expect("server thread panicked");
+    rps
+}
+
+/// Boots a `workers`-process fleet behind an in-process coordinator
+/// and runs the same warm pass and burst as [`serve_stage`].
 fn cluster_stage(
     clock: &mut StageClock,
     name: &'static str,
@@ -207,13 +265,13 @@ fn cluster_stage(
     let worker_command = [
         worker_bin.to_str().expect("target paths are UTF-8"),
         "--workers",
-        "2",
+        &POOL_THREADS.to_string(),
         "--queue-depth",
-        "64",
+        &POOL_QUEUE_DEPTH.to_string(),
         "--cache-capacity",
-        &CLUSTER_CACHE_CAP.to_string(),
+        &WORKER_CACHE_CAP.to_string(),
         "--cache-cap",
-        &CLUSTER_CACHE_CAP.to_string(),
+        &WORKER_CACHE_CAP.to_string(),
     ]
     .iter()
     .map(|s| (*s).to_owned())
@@ -222,89 +280,48 @@ fn cluster_stage(
         addr: "127.0.0.1:0".to_owned(),
         workers,
         worker_command,
-        // No hedging here: duplicated recomputes would flatter the
-        // small fleets by borrowing idle neighbours' capacity.
-        hedge: Duration::from_secs(600),
         ..ClusterConfig::default()
     })
     .expect("launching the cluster fleet");
     let addr = coordinator.local_addr();
-    let shutdown = coordinator.shutdown_handle();
+    let control = coordinator.controller();
     let join = std::thread::spawn(move || coordinator.run().expect("coordinator run"));
-
-    // Untimed warm pass: every shard key answered once, so each fleet
-    // starts the timed burst with whatever residency its per-worker
-    // caches can actually sustain.
-    let warm = loadgen::burst_targets(addr, "POST", targets, targets.len(), 1);
-    assert_eq!(warm.transport_errors, 0, "cluster warm pass lost requests");
-    assert_eq!(
-        warm.count(200),
-        targets.len(),
-        "cluster warm pass statuses: {:?}",
-        warm.statuses
-    );
-
-    let per_thread = 4;
-    let report = clock.time(name, || {
-        loadgen::burst_targets(addr, "POST", targets, targets.len(), per_thread)
-    });
-    let expected = targets.len() * per_thread;
-    assert_eq!(report.transport_errors, 0, "cluster burst lost requests");
-    assert_eq!(
-        report.count(200),
-        expected,
-        "cluster burst statuses: {:?}",
-        report.statuses
-    );
-    let rps = clock.annotate_requests_per_sec(expected);
-
-    shutdown.signal();
+    let rps = profile_burst(clock, name, addr, targets);
+    control.shutdown();
     join.join().expect("coordinator thread panicked");
     rps
 }
 
 /// The serving-tier benchmark: `POST /v1/profile` over eight shard
-/// keys against 1-, 2- and 4-worker fleets. The machine may well have
-/// a single CPU — what scales is *aggregate cache capacity*: the lone
-/// worker's caps-4 caches thrash under the eight-key rotation and
-/// recompute every profile, while the sharded fleets keep every key
-/// resident and answer from cache at wire speed.
-fn cluster_scaling(clock: &mut StageClock) {
-    let Some(worker_bin) = cluster_worker_binary() else {
-        println!(
-            "cluster scaling skipped: scap-cluster-worker not found next to this \
-             binary (build the full workspace at the same profile first)"
-        );
-        return;
-    };
-    let seeds = balanced_cluster_seeds();
-    let targets: Vec<(String, String)> = seeds
+/// keys against one process and against 2- and 4-worker fleets, each
+/// holding every key in cache. What the fleets add is crash isolation;
+/// this measures its price in throughput.
+fn serving_tier(clock: &mut StageClock) {
+    let targets: Vec<(String, String)> = balanced_cluster_seeds()
         .iter()
         .map(|seed| {
             (
                 "/v1/profile".to_owned(),
-                format!("scale={CLUSTER_SCALE}&seed={seed}&deadline_ms=120000"),
+                format!("scale={SERVE_SCALE}&seed={seed}&deadline_ms=120000"),
             )
         })
         .collect();
-    let mut results = Vec::new();
-    for (name, workers) in [
-        ("cluster_profile_1w", 1usize),
-        ("cluster_profile_2w", 2),
-        ("cluster_profile_4w", 4),
-    ] {
-        let rps = cluster_stage(clock, name, &worker_bin, workers, &targets);
-        results.push((workers, rps));
-    }
-    println!(
-        "Cluster serving tier (POST /v1/profile, {CLUSTER_KEYS} shard keys, \
-         per-worker cache capacity {CLUSTER_CACHE_CAP}):"
-    );
-    let baseline = results[0].1;
-    for &(workers, rps) in &results {
+    let solo = serve_stage(clock, &targets);
+    println!("Serving tier (POST /v1/profile, {SERVE_KEYS} shard keys, every key cached):");
+    println!("  1 process (caches {SERVE_KEYS}):      {solo:>8.2} req/s");
+    let Some(worker_bin) = cluster_worker_binary() else {
         println!(
-            "  {workers} worker(s): {rps:>8.2} req/s  ({:.1}x the single-worker fleet)",
-            rps / baseline
+            "  fleets skipped: scap-cluster-worker not found next to this binary \
+             (build the full workspace at the same profile first)"
+        );
+        return;
+    };
+    for (name, workers) in [("cluster_profile_2w", 2usize), ("cluster_profile_4w", 4)] {
+        let rps = cluster_stage(clock, name, &worker_bin, workers, &targets);
+        println!(
+            "  {workers} workers (caches {WORKER_CACHE_CAP} each): {rps:>8.2} req/s  \
+             ({:.2}x the single process)",
+            rps / solo
         );
     }
 }
@@ -559,12 +576,9 @@ fn main() {
         sat_delta("sat.propagations"),
     );
 
-    // Cluster serving tier: aggregate warm-cache capacity scaling.
-    println!(
-        "\n[{}s] running cluster serving-tier scaling …",
-        t0.elapsed().as_secs()
-    );
-    cluster_scaling(&mut clock);
+    // Serving tier: one process against the crash-isolated fleets.
+    println!("\n[{}s] running the serving tier …", t0.elapsed().as_secs());
+    serving_tier(&mut clock);
 
     let total_ms = t0.elapsed().as_secs_f64() * 1e3;
     println!("\ntotal wall time: {:.0} s", total_ms / 1e3);

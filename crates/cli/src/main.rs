@@ -8,8 +8,9 @@
 //! scap profile  --scale 0.01 [--flow conventional]      per-pattern SCAP
 //! scap schedule --scale 0.01 --budget <mW>              session scheduling
 //! scap lint     --scale 0.01 [--format json] [--deny warn]   design-rule check
+//! scap sta      --scale 0.01 [--derate] [--paths N]     slack analysis
 //! scap serve    --addr 127.0.0.1:7878                   resident HTTP API
-//! scap cluster  --workers 4 [--port 7900]               sharded serving tier
+//! scap cluster  --workers 4 [--port 7900]               crash-isolated serving
 //! scap evaluate                                         every table + figure
 //! ```
 //!
@@ -20,9 +21,8 @@
 //! identically. Parse errors return `ExitCode::from(2)` (destructors
 //! run; nothing calls `process::exit`).
 
-use scap::dft::FillPolicy;
-use scap::tgen::EngineKind;
 use scap::{ablation, compact_patterns, experiments, flows, schedule, CaseStudy};
+use scap_serve::flow::FlowSpec;
 use scap_serve::params::Args;
 use std::process::ExitCode;
 
@@ -42,7 +42,7 @@ macro_rules! try_flag {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: scap <generate|atpg|profile|schedule|paths|sta|lint|serve|cluster|evaluate> [--scale S] [--seed N] [--threads N] [options]\n\
+        "usage: scap <generate|atpg|profile|schedule|sta|lint|serve|cluster|evaluate> [--scale S] [--seed N] [--threads N] [options]\n\
          \n  generate   build the case-study SOC; Tables 1-2; --verilog FILE to dump netlist\
          \n  atpg       run a flow: --flow conventional|noise-aware (default noise-aware),\
          \n             --fill random-fill|fill-0|fill-1|fill-adjacent, --stil FILE, --compact,\
@@ -51,7 +51,6 @@ fn usage() -> ExitCode {
          \n  profile    per-pattern B5 SCAP of a flow vs the screening threshold;\
          \n             --metrics prints the pipeline counter breakdown\
          \n  schedule   power-constrained session scheduling: --budget MILLIWATTS\
-         \n  paths      report the N worst timing paths: --count N\
          \n  sta        per-endpoint slack analysis; --derate adds the IR-drop-derated\
          \n             pass (worst-case regional droop through the delay model),\
          \n             --derate-k F scales the droop sensitivity, --paths N,\
@@ -65,13 +64,12 @@ fn usage() -> ExitCode {
          \n             --addr HOST:PORT (default 127.0.0.1:7878; port 0 = ephemeral),\
          \n             --workers N, --queue-depth N, --cache-capacity N (design LRU),\
          \n             --cache-cap N (response LRU), --deadline-ms MS\
-         \n  cluster    sharded serving tier: a coordinator proxy over N scap-serve\
-         \n             worker processes, consistent-hash routed on (scale, seed)\
-         \n             (see docs/SERVER.md): --workers N (default 2),\
-         \n             --addr HOST:PORT / --port P (default 127.0.0.1:7900),\
-         \n             --hedge-ms MS (default 1000), --probe-ms MS (default 500),\
-         \n             plus per-worker --worker-threads, --queue-depth,\
-         \n             --cache-capacity, --cache-cap\
+         \n  cluster    crash-isolated serving: a coordinator proxy over N scap-serve\
+         \n             worker processes, rendezvous-routed on (scale, seed), with\
+         \n             failover and respawn (see docs/SERVER.md): --workers N\
+         \n             (default 2), --addr HOST:PORT / --port P (default\
+         \n             127.0.0.1:7900), --probe-ms MS (default 500), plus per-worker\
+         \n             --worker-threads, --queue-depth, --cache-capacity, --cache-cap\
          \n  evaluate   every table and figure of the paper (long)\
          \n\
          \n  --threads N  worker threads for the parallel hot loops; always wins\
@@ -100,10 +98,9 @@ fn main() -> ExitCode {
         "atpg" => atpg(&args),
         "profile" => profile(&args),
         "schedule" => schedule_cmd(&args),
-        "paths" => paths(&args),
         "sta" => sta(&args),
         "lint" => lint(&args),
-        "serve" => serve(&args),
+        "serve" => scap_serve::serve_main(&args),
         "cluster" => cluster(&args),
         "evaluate" => evaluate(&args),
         _ => usage(),
@@ -132,35 +129,13 @@ fn generate(args: &Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn pick_flow(args: &Args, study: &CaseStudy) -> Result<flows::FlowResult, String> {
-    let fill = match args.get("fill") {
-        Some("random-fill") | Some("random") => Some(FillPolicy::Random),
-        Some("fill-0") => Some(FillPolicy::Zero),
-        Some("fill-1") => Some(FillPolicy::One),
-        Some("fill-adjacent") => Some(FillPolicy::Adjacent),
-        _ => None,
-    };
-    let engine = match args.get("engine") {
-        None => EngineKind::Podem,
-        Some(raw) => EngineKind::parse(raw)
-            .ok_or_else(|| format!("--engine expects podem|sat|hybrid, got '{raw}'"))?,
-    };
-    Ok(match args.get("flow").unwrap_or("noise-aware") {
-        "conventional" => flows::conventional_with(
-            study,
-            flows::flow_atpg_config_with_engine(fill.unwrap_or(FillPolicy::Random), engine),
-        ),
-        _ => flows::noise_aware_with(
-            study,
-            flows::flow_atpg_config_with_engine(fill.unwrap_or(FillPolicy::Zero), engine),
-            &flows::paper_stages(study),
-        ),
-    })
-}
-
 fn atpg(args: &Args) -> ExitCode {
+    // `--flow`/`--fill`/`--engine` parse through the same FlowSpec as
+    // the server's parameters, and before the design is built, so a
+    // bad value fails fast.
+    let spec = try_flag!(FlowSpec::parse(args));
     let study = try_flag!(build_study(args));
-    let mut flow = try_flag!(pick_flow(args, &study));
+    let mut flow = spec.run(&study);
     println!(
         "{} patterns, {:.2} % fault coverage",
         flow.patterns.len(),
@@ -197,8 +172,9 @@ fn profile(args: &Args) -> ExitCode {
     if args.has("metrics") {
         scap_obs::set_enabled(true);
     }
+    let spec = try_flag!(FlowSpec::parse(args));
     let study = try_flag!(build_study(args));
-    let flow = try_flag!(pick_flow(args, &study));
+    let flow = spec.run(&study);
     let Some(b5) = study.design.block_named("B5") else {
         eprintln!("error: the generated design has no block named 'B5' to profile");
         return ExitCode::FAILURE;
@@ -236,8 +212,9 @@ fn profile(args: &Args) -> ExitCode {
 }
 
 fn schedule_cmd(args: &Args) -> ExitCode {
+    let spec = try_flag!(FlowSpec::parse(args));
     let study = try_flag!(build_study(args));
-    let flow = try_flag!(pick_flow(args, &study));
+    let flow = spec.run(&study);
     let tests = schedule::block_tests_from_flow(&study, &flow);
     let serial = schedule::serial_length(&tests);
     let budget: f64 = args
@@ -323,48 +300,10 @@ fn lint(args: &Args) -> ExitCode {
     }
 }
 
-/// `scap serve` — boots the resident HTTP JSON API and blocks until a
-/// `POST /v1/shutdown` drains it; the final metrics snapshot is printed
-/// on the way out. See `docs/SERVER.md` for the endpoint reference.
-fn serve(args: &Args) -> ExitCode {
-    let cfg = scap_serve::ServeConfig {
-        addr: args.get("addr").unwrap_or("127.0.0.1:7878").to_owned(),
-        workers: try_flag!(args.usize_flag("workers", 2)),
-        queue_depth: try_flag!(args.usize_flag("queue-depth", 16)),
-        cache_capacity: try_flag!(args.usize_flag("cache-capacity", 4)),
-        response_cache_capacity: try_flag!(args.usize_flag("cache-cap", 32)),
-        default_deadline: std::time::Duration::from_millis(try_flag!(
-            args.usize_flag("deadline-ms", 60_000)
-        ) as u64),
-        debug_endpoints: args.has("debug-endpoints"),
-    };
-    let server = match scap_serve::Server::bind(cfg) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: cannot bind: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // The exact line check.sh and tooling parse for the (possibly
-    // ephemeral) port — keep the format stable.
-    println!("scap serve listening on http://{}", server.local_addr());
-    match server.run() {
-        Ok(snapshot) => {
-            println!("scap serve drained; final metrics:");
-            print!("{}", scap_obs::render(&snapshot));
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: serve failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// `scap cluster` — boots the sharded serving tier: this process
+/// `scap cluster` — boots the crash-isolated serving tier: this process
 /// becomes the coordinator, spawning `--workers` copies of itself
 /// running `scap serve` on ephemeral ports and routing requests by
-/// consistent hashing on `(scale, seed)`. Blocks until
+/// rendezvous hashing on `(scale, seed)`. Blocks until
 /// `POST /v1/shutdown` drains coordinator and fleet alike.
 fn cluster(args: &Args) -> ExitCode {
     let addr = match (args.get("addr"), args.get("port")) {
@@ -379,21 +318,20 @@ fn cluster(args: &Args) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Workers re-run this binary's `serve` subcommand; pass the
-    // per-worker knobs through verbatim.
+    // Workers re-run this binary's `serve` subcommand with the
+    // per-worker flags the user set; the rest keep `scap serve`'s
+    // defaults.
     let mut worker_command = vec![exe.to_string_lossy().into_owned(), "serve".to_owned()];
-    let worker_threads = try_flag!(args.usize_flag("worker-threads", 2));
-    let queue_depth = try_flag!(args.usize_flag("queue-depth", 16));
-    let cache_capacity = try_flag!(args.usize_flag("cache-capacity", 4));
-    let cache_cap = try_flag!(args.usize_flag("cache-cap", 32));
-    for (flag, value) in [
-        ("--workers", worker_threads),
-        ("--queue-depth", queue_depth),
-        ("--cache-capacity", cache_capacity),
-        ("--cache-cap", cache_cap),
+    for (ours, theirs) in [
+        ("worker-threads", "--workers"),
+        ("queue-depth", "--queue-depth"),
+        ("cache-capacity", "--cache-capacity"),
+        ("cache-cap", "--cache-cap"),
     ] {
-        worker_command.push(flag.to_owned());
-        worker_command.push(value.to_string());
+        if let Some(raw) = args.get(ours) {
+            try_flag!(args.usize_flag(ours, 1));
+            worker_command.extend([theirs.to_owned(), raw.to_owned()]);
+        }
     }
     if args.has("debug-endpoints") {
         worker_command.push("--debug-endpoints".to_owned());
@@ -402,11 +340,9 @@ fn cluster(args: &Args) -> ExitCode {
         addr,
         workers: try_flag!(args.usize_flag("workers", 2)),
         worker_command,
-        hedge: std::time::Duration::from_millis(try_flag!(args.usize_flag("hedge-ms", 1000)) as u64),
         probe_interval: std::time::Duration::from_millis(
             try_flag!(args.usize_flag("probe-ms", 500)) as u64,
         ),
-        ..scap_cluster::ClusterConfig::default()
     };
     let coordinator = match scap_cluster::Coordinator::launch(cfg) {
         Ok(c) => c,
@@ -417,12 +353,13 @@ fn cluster(args: &Args) -> ExitCode {
     };
     // Stable lines check.sh and tooling parse: the coordinator address
     // first, then one line per worker with pid and address.
+    let workers = coordinator.controller().worker_infos();
     println!(
         "scap cluster listening on http://{} ({} workers)",
         coordinator.local_addr(),
-        coordinator.worker_infos().len()
+        workers.len()
     );
-    for w in coordinator.worker_infos() {
+    for w in workers {
         println!(
             "scap cluster worker {} pid {} http://{}",
             w.index,
@@ -572,36 +509,6 @@ fn sta(args: &Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn paths(args: &Args) -> ExitCode {
-    use scap::timing::Sta;
-    let study = try_flag!(build_study(args));
-    let count = args
-        .get("count")
-        .and_then(|c| c.parse().ok())
-        .unwrap_or(5usize);
-    let sta = Sta::run(&study.design.netlist, &study.annotation, &study.arrivals);
-    println!(
-        "critical path {:.0} ps, worst slack {:.0} ps (cycle {:.0} ps)",
-        sta.critical_path_ps(),
-        sta.worst_slack_ps().unwrap_or(0.0),
-        study.period_ps()
-    );
-    for (k, p) in sta
-        .worst_paths(&study.design.netlist, count)
-        .iter()
-        .enumerate()
-    {
-        println!(
-            "path {k}: endpoint {} arrival {:.0} ps slack {:.0} ps depth {}",
-            p.endpoint,
-            p.data_arrival_ps,
-            p.slack_ps,
-            p.depth()
-        );
-    }
-    ExitCode::SUCCESS
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -621,6 +528,26 @@ mod tests {
         assert_eq!(args.scale().unwrap(), 0.02);
         assert!(args.has("compact"));
         assert_eq!(args.get("stil"), Some("out.stil"));
+    }
+
+    #[test]
+    fn unknown_flow_options_exit_with_usage_code() {
+        // The server answers these with a 400; the CLI must not run a
+        // default flow instead. Each fails before any design is built.
+        for bad in [
+            &["atpg", "--scale", "0.004", "--flow", "conventinal"][..],
+            &["atpg", "--scale", "0.004", "--fill", "fill-O"],
+            &["profile", "--scale", "0.004", "--engine", "cnf"],
+            &["schedule", "--scale", "0.004", "--flow", "bogus"],
+        ] {
+            let args = cli(bad);
+            let code = match bad[0] {
+                "atpg" => atpg(&args),
+                "profile" => profile(&args),
+                _ => schedule_cmd(&args),
+            };
+            assert_eq!(code, ExitCode::from(2), "{bad:?}");
+        }
     }
 
     #[test]

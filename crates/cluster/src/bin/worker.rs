@@ -1,70 +1,18 @@
 //! `scap-cluster-worker` — a standalone `scap serve` worker process.
 //!
-//! Exactly the serving surface of `scap serve`, as a separate binary so
-//! the cluster integration tests (via `CARGO_BIN_EXE_scap-cluster-worker`)
-//! and the benchmark harness can spawn workers without depending on the
-//! full CLI. The one line of stdout the fleet supervisor parses:
+//! Exactly `scap serve` ([`scap_serve::serve_main`]: same flags, same
+//! output), as a separate binary so the cluster integration tests (via
+//! `CARGO_BIN_EXE_scap-cluster-worker`) and the benchmark harness can
+//! spawn workers without depending on the full CLI. The one line of
+//! stdout the fleet supervisor parses:
 //!
 //! ```text
 //! scap serve listening on http://127.0.0.1:PORT
 //! ```
-//!
-//! Flags mirror `scap serve`: `--addr`, `--workers`, `--queue-depth`,
-//! `--cache-capacity` (design LRU), `--cache-cap` (response LRU),
-//! `--deadline-ms`, `--debug-endpoints`.
 
 use scap_serve::params::Args;
-use scap_serve::{ServeConfig, Server};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let args = Args::parse(std::env::args().skip(1));
-    let defaults = ServeConfig::default();
-    let cfg = match (
-        args.usize_flag("workers", defaults.workers),
-        args.usize_flag("queue-depth", defaults.queue_depth),
-        args.usize_flag("cache-capacity", defaults.cache_capacity),
-        args.usize_flag("cache-cap", defaults.response_cache_capacity),
-        args.usize_flag(
-            "deadline-ms",
-            defaults.default_deadline.as_millis() as usize,
-        ),
-    ) {
-        (Ok(workers), Ok(queue_depth), Ok(cache_capacity), Ok(cache_cap), Ok(deadline_ms)) => {
-            ServeConfig {
-                addr: args.get("addr").unwrap_or("127.0.0.1:0").to_owned(),
-                workers,
-                queue_depth,
-                cache_capacity,
-                response_cache_capacity: cache_cap,
-                default_deadline: std::time::Duration::from_millis(deadline_ms as u64),
-                debug_endpoints: args.has("debug-endpoints"),
-            }
-        }
-        (w, q, c, r, d) => {
-            for e in [w.err(), q.err(), c.err(), r.err(), d.err()]
-                .into_iter()
-                .flatten()
-            {
-                eprintln!("scap-cluster-worker: {e}");
-            }
-            return ExitCode::from(2);
-        }
-    };
-    let server = match Server::bind(cfg) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("scap-cluster-worker: cannot bind: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // The stable line the fleet supervisor parses for the port.
-    println!("scap serve listening on http://{}", server.local_addr());
-    match server.run() {
-        Ok(_snapshot) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("scap-cluster-worker: serve failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    scap_serve::serve_main(&Args::parse(std::env::args().skip(1)))
 }

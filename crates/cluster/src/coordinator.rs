@@ -7,15 +7,10 @@
 //! 2. answer `/healthz`, `/metrics` and `/v1/shutdown` locally;
 //! 3. for everything else, compute the shard key from the request's
 //!    `(scale, seed)` (the same canonical parameters the workers
-//!    validate), walk the hash ring's failover order restricted to
-//!    live slots, and forward;
-//! 4. **hedge**: if the first attempt has not answered within the
-//!    configured latency threshold, race a duplicate against the next
-//!    live slot and return whichever finishes first — every analysis
-//!    handler is a pure function of its parameters, so duplicated work
-//!    is wasted capacity, never wrong answers;
-//! 5. **failover**: a transport error or gateway-shaped status
-//!    (`500`/`502`, plus `503` sheds) reroutes to the next live slot,
+//!    validate) and forward on the connection thread, walking the
+//!    key's rendezvous order restricted to live slots;
+//! 4. **failover**: a transport error or gateway-shaped status
+//!    (`500`/`502`, plus `503` sheds) moves on to the next live slot,
 //!    each slot tried at most once per request; only when every
 //!    candidate has failed does the client see a `502`.
 //!
@@ -25,7 +20,7 @@
 //! registry (the `cluster.*` family lives here), and appends a
 //! `cluster` object describing per-worker liveness.
 
-use crate::hash::{fnv1a64, Ring, DEFAULT_REPLICAS};
+use crate::hash::{fnv1a64, Ring};
 use crate::worker::{Fleet, WorkerInfo};
 use scap_serve::http::{read_request, ReadError, Request, Response};
 use scap_serve::loadgen::{self, ClientResponse};
@@ -33,7 +28,7 @@ use scap_serve::params::Args;
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Forward-leg connect timeout (workers are local processes).
@@ -53,16 +48,8 @@ pub struct ClusterConfig {
     /// Worker argv; the fleet appends `--addr 127.0.0.1:0`. The binary
     /// must print `scap serve listening on http://ADDR` once bound.
     pub worker_command: Vec<String>,
-    /// Latency threshold after which a slow request is hedged against
-    /// the next live slot.
-    pub hedge: Duration,
     /// Supervision cycle period (probe + respawn cadence).
     pub probe_interval: Duration,
-    /// Consecutive probe/transport failures before a slot is marked
-    /// dead and its hash range drains to successors.
-    pub probe_failure_threshold: u32,
-    /// Virtual nodes per slot on the hash ring.
-    pub replicas: usize,
 }
 
 impl Default for ClusterConfig {
@@ -71,40 +58,33 @@ impl Default for ClusterConfig {
             addr: "127.0.0.1:7900".to_owned(),
             workers: 2,
             worker_command: Vec::new(),
-            hedge: Duration::from_millis(1000),
             probe_interval: Duration::from_millis(500),
-            probe_failure_threshold: 3,
-            replicas: DEFAULT_REPLICAS,
         }
     }
 }
 
-/// Signals a running [`Coordinator`] to shut down gracefully.
-#[derive(Clone, Debug)]
-pub struct ClusterShutdown {
-    flag: Arc<AtomicBool>,
+struct ClusterCtx {
+    fleet: Fleet,
+    ring: Ring,
+    /// Set once shutdown is requested; the accept loop and the prober
+    /// poll it.
+    shutting_down: AtomicBool,
     addr: SocketAddr,
+    started: Instant,
 }
 
-impl ClusterShutdown {
+impl ClusterCtx {
     /// Requests shutdown: stop accepting, drain the fleet. Idempotent.
-    pub fn signal(&self) {
-        self.flag.store(true, Ordering::Release);
+    fn signal_shutdown(&self) {
+        self.shutting_down.store(true, Ordering::Release);
+        // Wake a blocked `accept` with a throwaway connection; the
+        // handler sees an empty request and drops it silently.
         let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
     }
 
-    /// Whether shutdown has been requested.
-    pub fn is_signaled(&self) -> bool {
-        self.flag.load(Ordering::Acquire)
+    fn is_shutting_down(&self) -> bool {
+        self.shutting_down.load(Ordering::Acquire)
     }
-}
-
-struct ClusterCtx {
-    cfg: ClusterConfig,
-    fleet: Fleet,
-    ring: Ring,
-    shutdown: ClusterShutdown,
-    started: Instant,
 }
 
 /// The bound, fleet-launched, not-yet-serving coordinator.
@@ -132,35 +112,29 @@ impl Coordinator {
     pub fn launch(cfg: ClusterConfig) -> std::io::Result<Coordinator> {
         scap_obs::set_enabled(true);
         intern_counter_families();
-        let fleet = Fleet::launch(
-            cfg.worker_command.clone(),
-            cfg.workers,
-            cfg.probe_failure_threshold,
-        )?;
+        let fleet = Fleet::launch(cfg.worker_command.clone(), cfg.workers)?;
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
-        let ring = Ring::new(fleet.len(), cfg.replicas);
+        let ring = Ring::new(fleet.len());
         let ctx = Arc::new(ClusterCtx {
             fleet,
             ring,
-            shutdown: ClusterShutdown {
-                flag: Arc::new(AtomicBool::new(false)),
-                addr,
-            },
+            shutting_down: AtomicBool::new(false),
+            addr,
             started: Instant::now(),
-            cfg,
         });
+        let probe_interval = cfg.probe_interval;
         let prober = {
             let ctx = Arc::clone(&ctx);
             std::thread::Builder::new()
                 .name("scap-cluster-probe".to_owned())
                 .spawn(move || {
-                    while !ctx.shutdown.is_signaled() {
+                    while !ctx.is_shutting_down() {
                         ctx.fleet.probe_once();
                         // Sleep in short steps so shutdown is prompt
                         // even under long probe intervals.
-                        let until = Instant::now() + ctx.cfg.probe_interval;
-                        while Instant::now() < until && !ctx.shutdown.is_signaled() {
+                        let until = Instant::now() + probe_interval;
+                        while Instant::now() < until && !ctx.is_shutting_down() {
                             std::thread::sleep(Duration::from_millis(25));
                         }
                     }
@@ -179,30 +153,10 @@ impl Coordinator {
         self.listener.local_addr().expect("listener has an address")
     }
 
-    /// A handle that can signal graceful shutdown from another thread.
-    pub fn shutdown_handle(&self) -> ClusterShutdown {
-        self.ctx.shutdown.clone()
-    }
-
-    /// Snapshot of every worker slot (CLI banner, tests).
-    pub fn worker_infos(&self) -> Vec<WorkerInfo> {
-        self.ctx.fleet.infos()
-    }
-
-    /// Kills worker `i`'s process outright — failure injection for the
-    /// integration tests; the router discovers the death like a crash.
-    pub fn kill_worker(&self, i: usize) {
-        self.ctx.fleet.kill(i);
-    }
-
-    /// Number of slots the router currently considers live.
-    pub fn alive_workers(&self) -> usize {
-        self.ctx.fleet.alive_count()
-    }
-
-    /// A clone-cheap control handle usable after [`Coordinator::run`]
-    /// has consumed `self` — the integration tests hold one to inject
-    /// worker crashes and watch recovery while the serve loop runs.
+    /// The clone-cheap control handle, usable from any thread after
+    /// [`Coordinator::run`] has consumed `self`: the CLI reads the fleet
+    /// banner from it, the integration tests inject worker crashes and
+    /// watch recovery, and any holder can request shutdown.
     pub fn controller(&self) -> ClusterController {
         ClusterController {
             ctx: Arc::clone(&self.ctx),
@@ -214,7 +168,7 @@ impl Coordinator {
     pub fn run(mut self) -> std::io::Result<scap_obs::Snapshot> {
         let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
         for stream in self.listener.incoming() {
-            if self.ctx.shutdown.is_signaled() {
+            if self.ctx.is_shutting_down() {
                 break;
             }
             let stream = match stream {
@@ -262,7 +216,8 @@ impl ClusterController {
         self.ctx.fleet.infos()
     }
 
-    /// Kills worker `i`'s process outright (failure injection).
+    /// Kills worker `i`'s process outright (failure injection); the
+    /// router discovers the death like a crash.
     pub fn kill_worker(&self, i: usize) {
         self.ctx.fleet.kill(i);
     }
@@ -270,6 +225,13 @@ impl ClusterController {
     /// Number of slots the router currently considers live.
     pub fn alive_workers(&self) -> usize {
         self.ctx.fleet.alive_count()
+    }
+
+    /// Requests graceful shutdown: the coordinator stops accepting and
+    /// [`Coordinator::run`] returns once the fleet has drained.
+    /// Idempotent.
+    pub fn shutdown(&self) {
+        self.ctx.signal_shutdown();
     }
 }
 
@@ -279,8 +241,6 @@ fn intern_counter_families() {
     for name in [
         "cluster.route.requests",
         "cluster.route.handoffs",
-        "cluster.hedge.fired",
-        "cluster.hedge.wins",
         "cluster.failover.reroutes",
         "cluster.failover.shed_retries",
         "cluster.failover.recovered",
@@ -316,7 +276,7 @@ fn handle_request(ctx: &ClusterCtx, req: &Request) -> Response {
         ("GET", "/healthz") => healthz(ctx),
         ("GET", "/metrics") => aggregate_metrics(ctx),
         ("POST", "/v1/shutdown") => {
-            ctx.shutdown.signal();
+            ctx.signal_shutdown();
             let mut obj = scap_obs::json::Obj::new();
             obj.bool("shutting_down", true);
             Response::json(200, obj.finish())
@@ -367,10 +327,12 @@ fn to_response(upstream: ClientResponse) -> Response {
     resp
 }
 
+/// Forwards `req` to the live slots in the key's routing order, one at
+/// a time, until one answers with a status the client should see (see
+/// the module docs for the failover rules).
 fn forward(ctx: &ClusterCtx, req: &Request) -> Response {
     scap_obs::counter!("cluster.route.requests").incr();
-    let key = shard_key_of(req);
-    let order = ctx.ring.order(key);
+    let order = ctx.ring.order(shard_key_of(req));
     let candidates: Vec<(usize, SocketAddr)> = order
         .iter()
         .filter_map(|&slot| ctx.fleet.live_addr(slot).map(|a| (slot, a)))
@@ -379,7 +341,7 @@ fn forward(ctx: &ClusterCtx, req: &Request) -> Response {
         return Response::error(503, "no live workers").with_header("retry-after", "1");
     };
     if first_slot != order[0] {
-        // The owner is dead: its hash range is handed to a successor.
+        // The owner is dead: its keys are handed to the next slot.
         scap_obs::counter!("cluster.route.handoffs").incr();
     }
 
@@ -388,100 +350,42 @@ fn forward(ctx: &ClusterCtx, req: &Request) -> Response {
     } else {
         format!("{}?{}", req.path, req.query)
     };
-    let body = String::from_utf8_lossy(&req.body).into_owned();
-    let method = req.method.clone();
-
-    let (tx, rx) = mpsc::channel::<(usize, std::io::Result<ClientResponse>)>();
-    let attempt = |slot: usize, addr: SocketAddr| {
-        let tx = tx.clone();
-        let method = method.clone();
-        let target = target.clone();
-        let body = body.clone();
-        std::thread::Builder::new()
-            .name("scap-cluster-fwd".to_owned())
-            .spawn(move || {
-                let result = loadgen::request_with_timeouts(
-                    addr,
-                    &method,
-                    &target,
-                    &body,
-                    FORWARD_CONNECT,
-                    FORWARD_READ,
-                );
-                let _ = tx.send((slot, result));
-            })
-            .expect("spawning forward thread");
-    };
-
-    let mut next = 1usize;
-    let mut in_flight = 1usize;
-    let mut hedge_slot: Option<usize> = None;
+    let body = String::from_utf8_lossy(&req.body);
     let mut had_failure = false;
-    attempt(candidates[0].0, candidates[0].1);
-
-    loop {
-        let can_launch_more = next < candidates.len();
-        let timeout = if hedge_slot.is_none() && can_launch_more {
-            ctx.cfg.hedge
-        } else {
-            // Longer than the forward read timeout: a verdict (or a
-            // transport error) always arrives before this fires.
-            FORWARD_READ + Duration::from_secs(10)
-        };
-        match rx.recv_timeout(timeout) {
-            Ok((slot, Ok(resp))) => {
-                in_flight -= 1;
-                if retryable(resp.status) && next < candidates.len() {
-                    if resp.status == 503 {
-                        scap_obs::counter!("cluster.failover.shed_retries").incr();
-                    } else {
-                        scap_obs::counter!("cluster.failover.reroutes").incr();
-                    }
-                    had_failure = true;
-                    attempt(candidates[next].0, candidates[next].1);
-                    next += 1;
-                    in_flight += 1;
-                    continue;
+    for (i, &(slot, addr)) in candidates.iter().enumerate() {
+        let last = i + 1 == candidates.len();
+        match loadgen::request_with_timeouts(
+            addr,
+            &req.method,
+            &target,
+            &body,
+            FORWARD_CONNECT,
+            FORWARD_READ,
+        ) {
+            Ok(resp) if retryable(resp.status) && !last => {
+                if resp.status == 503 {
+                    scap_obs::counter!("cluster.failover.shed_retries").incr();
+                } else {
+                    scap_obs::counter!("cluster.failover.reroutes").incr();
                 }
-                if resp.status == 200 {
-                    if had_failure {
-                        scap_obs::counter!("cluster.failover.recovered").incr();
-                    }
-                    if hedge_slot == Some(slot) {
-                        scap_obs::counter!("cluster.hedge.wins").incr();
-                    }
+                had_failure = true;
+            }
+            Ok(resp) => {
+                if resp.status == 200 && had_failure {
+                    scap_obs::counter!("cluster.failover.recovered").incr();
                 }
                 return to_response(resp);
             }
-            Ok((slot, Err(_))) => {
-                in_flight -= 1;
+            Err(_) => {
                 ctx.fleet.note_transport_failure(slot);
                 had_failure = true;
-                if next < candidates.len() {
+                if !last {
                     scap_obs::counter!("cluster.failover.reroutes").incr();
-                    attempt(candidates[next].0, candidates[next].1);
-                    next += 1;
-                    in_flight += 1;
-                } else if in_flight == 0 {
-                    return Response::error(502, "every live worker failed this request");
                 }
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if hedge_slot.is_none() && next < candidates.len() {
-                    scap_obs::counter!("cluster.hedge.fired").incr();
-                    hedge_slot = Some(candidates[next].0);
-                    attempt(candidates[next].0, candidates[next].1);
-                    next += 1;
-                    in_flight += 1;
-                } else if in_flight == 0 {
-                    return Response::error(502, "every live worker failed this request");
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                return Response::error(502, "every live worker failed this request");
             }
         }
     }
+    Response::error(502, "every live worker failed this request")
 }
 
 /// One worker's parsed `/metrics` folded into the running aggregate.

@@ -1,28 +1,24 @@
-//! Consistent-hash ring over worker slots.
+//! Rendezvous (highest-random-weight) routing over worker slots.
 //!
-//! Each worker slot contributes [`Ring::replicas`] virtual nodes —
-//! points on a 64-bit circle at `fnv1a64("w{slot}:{replica}")`. A
-//! request key owns the first point clockwise from its own hash; the
-//! slot behind that point is the key's **owner**. Two properties make
+//! Every `(key, slot)` pair gets a pseudo-random 64-bit weight; the
+//! slot with the highest weight is the key's **owner**, and
+//! [`Ring::order`] — all slots by descending weight, ties broken by
+//! slot index — is the key's failover sequence. Two properties make
 //! this the right router for a shard-per-worker cache tier:
 //!
-//! * **balance** — with enough virtual nodes the keyspace splits close
-//!   to evenly (the property tests pin ≤ 2× the mean);
-//! * **minimal disruption** — growing the fleet from N to N+1 slots
-//!   moves only the keys the new slot now owns; every other key keeps
-//!   its worker, and therefore its warm cache.
+//! * **balance** — weights are independent and uniform, so the keyspace
+//!   splits close to evenly (the property tests pin ≤ 2× the mean);
+//! * **minimal disruption** — a slot's weights do not depend on how
+//!   many slots exist, so growing the fleet from N to N+1 slots moves
+//!   only the keys the new slot now wins; every other key keeps its
+//!   worker, and therefore its warm cache.
 //!
-//! [`Ring::order`] extends ownership to a full failover sequence: the
-//! distinct slots in ring-walk order starting at the owner. The
-//! coordinator forwards to the first *live* entry, so a dead worker's
-//! hash range drains onto its successors without renumbering anything.
+//! The coordinator forwards to the first *live* entry of the order, so
+//! a dead worker's keys drain onto their next-highest slots without
+//! renumbering anything.
 
-/// Virtual nodes per slot used across the crate (coordinator, bench,
-/// tests) — routing only agrees between processes when this matches.
-pub const DEFAULT_REPLICAS: usize = 32;
-
-/// 64-bit FNV-1a over `bytes` — the crate's one hash function, chosen
-/// for determinism across processes (no per-process seeding) and
+/// 64-bit FNV-1a over `bytes` — the crate's key hash, chosen for
+/// determinism across processes (no per-process seeding) and
 /// std-only implementability.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -33,45 +29,28 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Consistent-hash ring over `slots` worker slots (see module docs).
+/// The rendezvous weight of `slot` for `key`: the splitmix64 finalizer
+/// over the key mixed with the (golden-ratio-spread) slot identity.
+fn weight(key: u64, slot: usize) -> u64 {
+    let mut z = key ^ (slot as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Rendezvous router over a fixed number of worker slots (see module
+/// docs).
 #[derive(Clone, Debug)]
 pub struct Ring {
-    /// `(point, slot)` pairs sorted by point.
-    points: Vec<(u64, usize)>,
     slots: usize,
-    replicas: usize,
 }
 
 impl Ring {
-    /// A ring of `slots` slots (clamped to ≥ 1), each contributing
-    /// `replicas` virtual nodes (clamped to ≥ 1).
-    pub fn new(slots: usize, replicas: usize) -> Self {
-        let slots = slots.max(1);
-        let replicas = replicas.max(1);
-        let mut points = Vec::with_capacity(slots * replicas);
-        for slot in 0..slots {
-            for r in 0..replicas {
-                points.push((fnv1a64(format!("w{slot}:{r}").as_bytes()), slot));
-            }
-        }
-        // Sort by point; break (astronomically unlikely) hash ties by
-        // slot index so the ring is identical in every process.
-        points.sort_unstable();
+    /// A router over `slots` slots (clamped to ≥ 1).
+    pub fn new(slots: usize) -> Self {
         Ring {
-            points,
-            slots,
-            replicas,
+            slots: slots.max(1),
         }
-    }
-
-    /// Number of slots on the ring.
-    pub fn slots(&self) -> usize {
-        self.slots
-    }
-
-    /// Virtual nodes per slot.
-    pub fn replicas(&self) -> usize {
-        self.replicas
     }
 
     /// The routing key of a `(scale, seed)` design shard: every
@@ -84,37 +63,17 @@ impl Ring {
         fnv1a64(&bytes)
     }
 
-    /// Index into `points` of the first point at or clockwise of `key`.
-    fn successor(&self, key: u64) -> usize {
-        match self.points.binary_search(&(key, 0)) {
-            Ok(i) => i,
-            Err(i) if i == self.points.len() => 0, // wrap
-            Err(i) => i,
-        }
-    }
-
-    /// The slot owning `key`.
+    /// The slot owning `key`: the head of [`Ring::order`].
     pub fn owner(&self, key: u64) -> usize {
-        self.points[self.successor(key)].1
+        self.order(key)[0]
     }
 
-    /// Every slot in ring-walk order starting at the owner of `key` —
+    /// Every slot by descending weight for `key` (ties by slot index) —
     /// the failover sequence. Always a permutation of `0..slots`.
     pub fn order(&self, key: u64) -> Vec<usize> {
-        let start = self.successor(key);
-        let mut seen = vec![false; self.slots];
-        let mut out = Vec::with_capacity(self.slots);
-        for step in 0..self.points.len() {
-            let slot = self.points[(start + step) % self.points.len()].1;
-            if !seen[slot] {
-                seen[slot] = true;
-                out.push(slot);
-                if out.len() == self.slots {
-                    break;
-                }
-            }
-        }
-        out
+        let mut order: Vec<usize> = (0..self.slots).collect();
+        order.sort_unstable_by_key(|&slot| (std::cmp::Reverse(weight(key, slot)), slot));
+        order
     }
 }
 
@@ -132,7 +91,7 @@ mod tests {
 
     #[test]
     fn owner_heads_the_order_and_order_is_a_permutation() {
-        let ring = Ring::new(4, DEFAULT_REPLICAS);
+        let ring = Ring::new(4);
         for raw in 0..1000u64 {
             let key = fnv1a64(&raw.to_le_bytes());
             let order = ring.order(key);
@@ -145,7 +104,7 @@ mod tests {
 
     #[test]
     fn single_slot_ring_owns_everything() {
-        let ring = Ring::new(1, DEFAULT_REPLICAS);
+        let ring = Ring::new(1);
         for raw in 0..100u64 {
             assert_eq!(ring.owner(fnv1a64(&raw.to_le_bytes())), 0);
             assert_eq!(ring.order(raw), vec![0]);

@@ -13,8 +13,8 @@
 //!   scheduled for respawn after an exponential backoff
 //!   ([`scap_exec::Backoff`], 250 ms doubling to 5 s);
 //! * a live process failing `GET /healthz` (short timeouts)
-//!   `probe_failure_threshold` times in a row is marked dead — its
-//!   hash range drains to ring successors until it recovers;
+//!   `PROBE_FAILURE_THRESHOLD` (3) times in a row is marked dead — its
+//!   keys drain to their next slots in routing order until it recovers;
 //! * a dead-but-running worker that answers a probe again is revived
 //!   in place, caches intact.
 //!
@@ -38,10 +38,14 @@ const SPAWN_TIMEOUT: Duration = Duration::from_secs(30);
 const PROBE_CONNECT: Duration = Duration::from_millis(500);
 const PROBE_READ: Duration = Duration::from_secs(2);
 
+/// Consecutive probe or transport failures before a slot is marked
+/// dead and its keys drain to their next slots.
+const PROBE_FAILURE_THRESHOLD: u32 = 3;
+
 /// Identity of one worker slot, for logs and `/metrics`.
 #[derive(Clone, Debug)]
 pub struct WorkerInfo {
-    /// Slot index (the ring identity — stable across restarts).
+    /// Slot index (the routing identity — stable across restarts).
     pub index: usize,
     /// OS process id of the current child, 0 when down.
     pub pid: u32,
@@ -67,7 +71,6 @@ struct Slot {
 pub struct Fleet {
     command: Vec<String>,
     slots: Vec<Mutex<Slot>>,
-    probe_failure_threshold: u32,
 }
 
 impl std::fmt::Debug for Fleet {
@@ -151,11 +154,7 @@ impl Fleet {
     /// announced its address. Fails (killing what already started) if
     /// any worker cannot come up — a partially-launched fleet routes
     /// requests into a void.
-    pub fn launch(
-        command: Vec<String>,
-        workers: usize,
-        probe_failure_threshold: u32,
-    ) -> std::io::Result<Fleet> {
+    pub fn launch(command: Vec<String>, workers: usize) -> std::io::Result<Fleet> {
         let workers = workers.max(1);
         scap_obs::gauge("cluster.workers.total").set(workers as u64);
         let mut slots = Vec::with_capacity(workers);
@@ -188,11 +187,7 @@ impl Fleet {
                 }
             }
         }
-        let fleet = Fleet {
-            command,
-            slots,
-            probe_failure_threshold: probe_failure_threshold.max(1),
-        };
+        let fleet = Fleet { command, slots };
         fleet.update_alive_gauge();
         Ok(fleet)
     }
@@ -249,7 +244,7 @@ impl Fleet {
     pub fn note_transport_failure(&self, i: usize) {
         let mut s = lock(&self.slots[i]);
         s.failures = s.failures.saturating_add(1);
-        if s.alive && s.failures >= self.probe_failure_threshold {
+        if s.alive && s.failures >= PROBE_FAILURE_THRESHOLD {
             s.alive = false;
             scap_obs::counter!("cluster.probe.marked_dead").incr();
         }
@@ -314,7 +309,7 @@ impl Fleet {
             } else {
                 scap_obs::counter!("cluster.probe.failures").incr();
                 s.failures = s.failures.saturating_add(1);
-                if s.alive && s.failures >= self.probe_failure_threshold {
+                if s.alive && s.failures >= PROBE_FAILURE_THRESHOLD {
                     s.alive = false;
                     scap_obs::counter!("cluster.probe.marked_dead").incr();
                 }

@@ -6,9 +6,7 @@
 //! tiny — the CI machine usually has a single CPU and every worker is
 //! a full OS process.
 
-use scap_cluster::{
-    ClusterConfig, ClusterController, ClusterShutdown, Coordinator, Ring, DEFAULT_REPLICAS,
-};
+use scap_cluster::{ClusterConfig, ClusterController, Coordinator, Ring};
 use scap_serve::loadgen;
 use std::net::SocketAddr;
 use std::sync::{Mutex, MutexGuard};
@@ -22,22 +20,21 @@ fn serial() -> MutexGuard<'static, ()> {
     LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn worker_command(extra: &[&str]) -> Vec<String> {
-    let mut cmd = vec![
-        env!("CARGO_BIN_EXE_scap-cluster-worker").to_owned(),
-        "--workers".to_owned(),
-        "2".to_owned(),
-        "--cache-cap".to_owned(),
-        "16".to_owned(),
-    ];
-    cmd.extend(extra.iter().map(|s| (*s).to_owned()));
-    cmd
+fn worker_command() -> Vec<String> {
+    [
+        env!("CARGO_BIN_EXE_scap-cluster-worker"),
+        "--workers",
+        "2",
+        "--cache-cap",
+        "16",
+    ]
+    .map(str::to_owned)
+    .to_vec()
 }
 
 struct Cluster {
     addr: SocketAddr,
     control: ClusterController,
-    shutdown: ClusterShutdown,
     join: JoinHandle<scap_obs::Snapshot>,
 }
 
@@ -49,18 +46,16 @@ fn boot(cfg: ClusterConfig) -> Cluster {
     .expect("launching the cluster");
     let addr = coordinator.local_addr();
     let control = coordinator.controller();
-    let shutdown = coordinator.shutdown_handle();
     let join = std::thread::spawn(move || coordinator.run().expect("coordinator run"));
     Cluster {
         addr,
         control,
-        shutdown,
         join,
     }
 }
 
 fn stop(c: Cluster) -> scap_obs::Snapshot {
-    c.shutdown.signal();
+    c.control.shutdown();
     c.join.join().expect("coordinator thread panicked")
 }
 
@@ -70,7 +65,7 @@ fn routes_the_full_surface_and_aggregates_metrics() {
     let before = scap_obs::snapshot();
     let c = boot(ClusterConfig {
         workers: 2,
-        worker_command: worker_command(&[]),
+        worker_command: worker_command(),
         ..ClusterConfig::default()
     });
 
@@ -173,7 +168,7 @@ fn killing_a_worker_mid_burst_loses_no_client_requests() {
     let before = scap_obs::snapshot();
     let c = boot(ClusterConfig {
         workers: 2,
-        worker_command: worker_command(&[]),
+        worker_command: worker_command(),
         // Probes far apart: the *request path* must discover the death
         // and fail over — deterministically exercising the reroute
         // counters rather than racing the prober.
@@ -181,11 +176,11 @@ fn killing_a_worker_mid_burst_loses_no_client_requests() {
         ..ClusterConfig::default()
     });
 
-    // Pick seeds that provably span both workers (the same ring the
-    // coordinator routes by), so killing worker 0 actually cuts into
-    // the burst's key set.
+    // Pick seeds that provably span both workers (the same router the
+    // coordinator uses), so killing worker 0 actually cuts into the
+    // burst's key set.
     let scale: f64 = SCALE.parse().unwrap();
-    let ring = Ring::new(2, DEFAULT_REPLICAS);
+    let ring = Ring::new(2);
     let mut seeds: Vec<u64> = Vec::new();
     let mut quota = [2usize; 2];
     for seed in 1..10_000u64 {
@@ -246,7 +241,7 @@ fn a_crashed_worker_is_respawned_with_backoff() {
     let before = scap_obs::snapshot();
     let c = boot(ClusterConfig {
         workers: 2,
-        worker_command: worker_command(&[]),
+        worker_command: worker_command(),
         probe_interval: Duration::from_millis(50),
         ..ClusterConfig::default()
     });
@@ -276,29 +271,5 @@ fn a_crashed_worker_is_respawned_with_backoff() {
     assert_eq!(
         delta("cluster.worker.spawned"),
         delta("cluster.worker.restarts") + 2
-    );
-}
-
-#[test]
-fn slow_requests_hedge_to_the_next_live_worker() {
-    let _guard = serial();
-    let before = scap_obs::snapshot();
-    let c = boot(ClusterConfig {
-        workers: 2,
-        worker_command: worker_command(&["--debug-endpoints"]),
-        hedge: Duration::from_millis(50),
-        ..ClusterConfig::default()
-    });
-
-    // A sleep far past the hedge threshold: the coordinator must race a
-    // duplicate against the successor and still answer 200.
-    let r = loadgen::get(c.addr, "/v1/sleep?ms=400").unwrap();
-    assert_eq!(r.status, 200);
-
-    let snap = stop(c);
-    let delta = |name: &str| snap.counter(name).unwrap_or(0) - before.counter(name).unwrap_or(0);
-    assert!(
-        delta("cluster.hedge.fired") >= 1,
-        "a 400 ms request over a 50 ms hedge threshold must hedge"
     );
 }

@@ -1,22 +1,22 @@
-//! Property tests of the consistent-hash ring: the three contracts the
-//! coordinator's router depends on.
+//! Property tests of the rendezvous router: the contracts the
+//! coordinator's forwarding loop depends on.
 
 use proptest::prelude::*;
-use scap_cluster::hash::{fnv1a64, Ring, DEFAULT_REPLICAS};
+use scap_cluster::hash::{fnv1a64, Ring};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// **Stable**: routing is a pure function of `(slots, replicas,
-    /// key)` — two independently built rings agree on every owner and
-    /// every failover order.
+    /// **Stable**: routing is a pure function of `(slots, key)` — two
+    /// independently built routers agree on every owner and every
+    /// failover order.
     #[test]
     fn routing_is_stable_across_ring_rebuilds(
         slots in 1usize..9,
         seed in any::<u64>(),
     ) {
-        let a = Ring::new(slots, DEFAULT_REPLICAS);
-        let b = Ring::new(slots, DEFAULT_REPLICAS);
+        let a = Ring::new(slots);
+        let b = Ring::new(slots);
         for i in 0..256u64 {
             let key = fnv1a64(&(seed ^ i.wrapping_mul(0x9e37_79b9_7f4a_7c15)).to_le_bytes());
             prop_assert_eq!(a.owner(key), b.owner(key));
@@ -31,7 +31,7 @@ proptest! {
         slots in 1usize..9,
         seed in any::<u64>(),
     ) {
-        let ring = Ring::new(slots, 128);
+        let ring = Ring::new(slots);
         const KEYS: usize = 4096;
         let mut load = vec![0usize; slots];
         for i in 0..KEYS as u64 {
@@ -56,8 +56,8 @@ proptest! {
         slots in 1usize..8,
         seed in any::<u64>(),
     ) {
-        let before = Ring::new(slots, DEFAULT_REPLICAS);
-        let after = Ring::new(slots + 1, DEFAULT_REPLICAS);
+        let before = Ring::new(slots);
+        let after = Ring::new(slots + 1);
         let mut moved = 0usize;
         const KEYS: usize = 2048;
         for i in 0..KEYS as u64 {
@@ -73,7 +73,7 @@ proptest! {
             }
         }
         // The new slot takes roughly its fair share, never everything.
-        prop_assert!(moved < KEYS, "every key moved — not consistent hashing");
+        prop_assert!(moved < KEYS, "every key moved — not minimally disruptive");
     }
 
     /// The failover order is always a permutation of the slots and is
@@ -83,7 +83,7 @@ proptest! {
         slots in 1usize..9,
         raw_key in any::<u64>(),
     ) {
-        let ring = Ring::new(slots, DEFAULT_REPLICAS);
+        let ring = Ring::new(slots);
         let order = ring.order(raw_key);
         prop_assert_eq!(order.len(), slots);
         prop_assert_eq!(order[0], ring.owner(raw_key));

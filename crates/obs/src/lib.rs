@@ -87,11 +87,9 @@
 //!   launch-to-capture timing screen and those exceeding the cycle.
 //! * `compact.*`, `screen.*`, `flow.*`, `ablation.*`, `lint.*`,
 //!   `serve.*` — per-layer event counts named after what they count.
-//! * `cluster.*` — the sharded serving tier (`scap-cluster`).
+//! * `cluster.*` — the crash-isolated serving tier (`scap-cluster`).
 //!   `cluster.route.requests` / `.handoffs` count proxied requests and
-//!   those whose hash-primary was dead (served by a live successor);
-//!   `cluster.hedge.fired` / `.wins` count hedged duplicates launched
-//!   after the latency threshold and the ones that answered first;
+//!   those whose owner was dead (served by the next live slot);
 //!   `cluster.failover.reroutes` / `.shed_retries` / `.recovered`
 //!   count transport-error reroutes, worker 5xx retries and requests a
 //!   non-primary ultimately answered; `cluster.probe.ok` / `.failures`

@@ -11,7 +11,7 @@
 //! `--seeds K` rotates the burst across K distinct generator seeds
 //! (`--seed-base`, `--seed-base`+1, …) by appending `seed=N` to the
 //! query string — the cluster mode: each seed is a shard key, so the
-//! burst exercises the coordinator's consistent-hash routing.
+//! burst exercises the coordinator's rendezvous routing.
 //!
 //! Exits 0 when every connection got an HTTP verdict (any status) and
 //! at least one exchange returned 200 — or, under `--require-200`, only

@@ -315,8 +315,9 @@ impl DesignCache {
     /// Returns the design for `(scale, seed)`, building it at most once
     /// regardless of how many threads ask concurrently.
     ///
-    /// `scale` must already be validated to `(0, 1]` — the underlying
-    /// generator panics outside that range.
+    /// `scale` must already be validated to `[MIN_SCALE, 1]` (see
+    /// [`scap::soc::MIN_SCALE`]) — the underlying generator panics
+    /// outside that range.
     pub fn get_or_build(&self, scale: f64, seed: u64) -> Arc<CaseStudy> {
         self.inner.get_or_build(CacheKey::new(scale, seed), || {
             let _span = scap_obs::span!("serve.design_build");

@@ -7,75 +7,16 @@
 //! matter how they interleave — the property the load tests assert.
 
 use crate::cache::DesignCache;
+use crate::flow::{fill_label, FlowSpec};
 use crate::http::Response;
 use crate::params::Args;
-use scap::dft::FillPolicy;
-use scap::tgen::EngineKind;
 use scap::{experiments, flows, schedule, CaseStudy, PatternAnalyzer};
 use scap_obs::json::{Arr, Obj};
-
-/// Which ATPG flow a request asks for.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FlowKind {
-    /// Random-fill conventional ATPG.
-    Conventional,
-    /// The paper's staged noise-aware flow.
-    NoiseAware,
-}
-
-impl FlowKind {
-    fn parse(raw: Option<&str>) -> Result<Self, String> {
-        match raw {
-            None | Some("noise-aware") => Ok(FlowKind::NoiseAware),
-            Some("conventional") => Ok(FlowKind::Conventional),
-            Some(other) => Err(format!(
-                "flow expects 'conventional' or 'noise-aware', got '{other}'"
-            )),
-        }
-    }
-
-    fn label(self) -> &'static str {
-        match self {
-            FlowKind::Conventional => "conventional",
-            FlowKind::NoiseAware => "noise-aware",
-        }
-    }
-}
-
-fn parse_fill(raw: Option<&str>) -> Result<Option<FillPolicy>, String> {
-    match raw {
-        None => Ok(None),
-        Some("random-fill") | Some("random") => Ok(Some(FillPolicy::Random)),
-        Some("fill-0") => Ok(Some(FillPolicy::Zero)),
-        Some("fill-1") => Ok(Some(FillPolicy::One)),
-        Some("fill-adjacent") => Ok(Some(FillPolicy::Adjacent)),
-        Some(other) => Err(format!(
-            "fill expects random-fill|fill-0|fill-1|fill-adjacent, got '{other}'"
-        )),
-    }
-}
-
-fn parse_engine(raw: Option<&str>) -> Result<EngineKind, String> {
-    match raw {
-        None => Ok(EngineKind::Podem),
-        Some(s) => EngineKind::parse(s)
-            .ok_or_else(|| format!("engine expects podem|sat|hybrid, got '{s}'")),
-    }
-}
-
-fn fill_label(fill: FillPolicy) -> &'static str {
-    match fill {
-        FillPolicy::Random => "random-fill",
-        FillPolicy::Zero => "fill-0",
-        FillPolicy::One => "fill-1",
-        FillPolicy::Adjacent => "fill-adjacent",
-    }
-}
 
 /// Parameters shared by every design-backed endpoint.
 #[derive(Clone, Copy, Debug)]
 pub struct CommonParams {
-    /// Design scale in `(0, 1]`.
+    /// Design scale in `[MIN_SCALE, 1]` (see [`scap::soc::MIN_SCALE`]).
     pub scale: f64,
     /// Generator seed.
     pub seed: u64,
@@ -434,12 +375,8 @@ pub fn sta(cache: &DesignCache, p: &StaParams) -> Response {
 pub struct ProfileParams {
     /// Shared scale/seed pair.
     pub common: CommonParams,
-    /// Which flow to profile.
-    pub flow: FlowKind,
-    /// Fill policy override (the flow's default otherwise).
-    pub fill: Option<FillPolicy>,
-    /// Primary ATPG engine (`podem`, `sat` or `hybrid`).
-    pub engine: EngineKind,
+    /// Which flow to profile, with its fill and engine.
+    pub flow: FlowSpec,
     /// Block to profile (the paper's hot block B5 by default).
     pub block: String,
 }
@@ -450,53 +387,20 @@ impl ProfileParams {
         reject_unknown(args, &with_common(&["flow", "fill", "engine", "block"]))?;
         Ok(ProfileParams {
             common: CommonParams::parse(args)?,
-            flow: FlowKind::parse(args.get("flow"))?,
-            fill: parse_fill(args.get("fill"))?,
-            engine: parse_engine(args.get("engine"))?,
+            flow: FlowSpec::parse(args)?,
             block: args.get("block").unwrap_or("B5").to_owned(),
         })
     }
 
     /// Canonical response-cache key (see [`DesignParams::cache_key`]).
-    /// The fill keys on its *effective* policy: an explicit
-    /// `fill=fill-0` and the noise-aware flow's default are the same
-    /// computation, so they share an entry.
     pub fn cache_key(&self) -> String {
         format!(
-            "profile|{}|{}|{}|{}|{}",
+            "profile|{}|{}|{}",
             self.common.key_part(),
-            self.flow.label(),
-            fill_label(effective_fill(self.flow, self.fill)),
-            self.engine.label(),
+            self.flow.key_part(),
             self.block
         )
     }
-}
-
-fn run_flow(
-    study: &CaseStudy,
-    kind: FlowKind,
-    fill: Option<FillPolicy>,
-    engine: EngineKind,
-) -> flows::FlowResult {
-    match kind {
-        FlowKind::Conventional => flows::conventional_with(
-            study,
-            flows::flow_atpg_config_with_engine(fill.unwrap_or(FillPolicy::Random), engine),
-        ),
-        FlowKind::NoiseAware => flows::noise_aware_with(
-            study,
-            flows::flow_atpg_config_with_engine(fill.unwrap_or(FillPolicy::Zero), engine),
-            &flows::paper_stages(study),
-        ),
-    }
-}
-
-fn effective_fill(kind: FlowKind, fill: Option<FillPolicy>) -> FillPolicy {
-    fill.unwrap_or(match kind {
-        FlowKind::Conventional => FillPolicy::Random,
-        FlowKind::NoiseAware => FillPolicy::Zero,
-    })
 }
 
 /// Per-pattern SCAP of one block vs its screening threshold, with a
@@ -509,7 +413,7 @@ pub fn profile(cache: &DesignCache, p: &ProfileParams) -> Response {
     let Some(&threshold) = experiments::scap_thresholds(&study).get(block.index()) else {
         return Response::error(500, &format!("no screening threshold for '{}'", p.block));
     };
-    let flow = run_flow(&study, p.flow, p.fill, p.engine);
+    let flow = p.flow.run(&study);
     let series = experiments::scap_series(&study, &flow, block, threshold);
     let mut patterns = Arr::new();
     for (i, &mw) in series.scap_mw.iter().enumerate() {
@@ -522,9 +426,9 @@ pub fn profile(cache: &DesignCache, p: &ProfileParams) -> Response {
     let mut root = Obj::new();
     root.f64("scale", p.common.scale)
         .u64("seed", p.common.seed)
-        .str("flow", p.flow.label())
-        .str("fill", fill_label(effective_fill(p.flow, p.fill)))
-        .str("engine", p.engine.label())
+        .str("flow", p.flow.kind.label())
+        .str("fill", fill_label(p.flow.effective_fill()))
+        .str("engine", p.flow.engine.label())
         .str("block", &p.block)
         .f64("threshold_mw", threshold)
         .u64("patterns", series.scap_mw.len() as u64)
@@ -544,12 +448,9 @@ pub fn profile(cache: &DesignCache, p: &ProfileParams) -> Response {
 pub struct ScheduleParams {
     /// Shared scale/seed pair.
     pub common: CommonParams,
-    /// Which flow supplies the per-block tests.
-    pub flow: FlowKind,
-    /// Fill policy override.
-    pub fill: Option<FillPolicy>,
-    /// Primary ATPG engine (`podem`, `sat` or `hybrid`).
-    pub engine: EngineKind,
+    /// Which flow supplies the per-block tests, with its fill and
+    /// engine.
+    pub flow: FlowSpec,
     /// Session power budget, mW (2× the hottest block when absent —
     /// the CLI's default).
     pub budget_mw: Option<f64>,
@@ -567,9 +468,7 @@ impl ScheduleParams {
         }
         Ok(ScheduleParams {
             common: CommonParams::parse(args)?,
-            flow: FlowKind::parse(args.get("flow"))?,
-            fill: parse_fill(args.get("fill"))?,
-            engine: parse_engine(args.get("engine"))?,
+            flow: FlowSpec::parse(args)?,
             budget_mw,
         })
     }
@@ -584,11 +483,9 @@ impl ScheduleParams {
             None => "-".to_owned(),
         };
         format!(
-            "schedule|{}|{}|{}|{}|{}",
+            "schedule|{}|{}|{}",
             self.common.key_part(),
-            self.flow.label(),
-            fill_label(effective_fill(self.flow, self.fill)),
-            self.engine.label(),
+            self.flow.key_part(),
             budget
         )
     }
@@ -597,7 +494,7 @@ impl ScheduleParams {
 /// Power-constrained session scheduling of the flow's per-block tests.
 pub fn schedule(cache: &DesignCache, p: &ScheduleParams) -> Response {
     let study = cache.get_or_build(p.common.scale, p.common.seed);
-    let flow = run_flow(&study, p.flow, p.fill, p.engine);
+    let flow = p.flow.run(&study);
     let tests = schedule::block_tests_from_flow(&study, &flow);
     let serial = schedule::serial_length(&tests);
     let budget = p
@@ -623,8 +520,8 @@ pub fn schedule(cache: &DesignCache, p: &ScheduleParams) -> Response {
     let mut root = Obj::new();
     root.f64("scale", p.common.scale)
         .u64("seed", p.common.seed)
-        .str("flow", p.flow.label())
-        .str("engine", p.engine.label())
+        .str("flow", p.flow.kind.label())
+        .str("engine", p.flow.engine.label())
         .f64("budget_mw", budget)
         .u64("serial_length", serial as u64)
         .u64("scheduled_length", plan.total_length() as u64)
@@ -671,6 +568,9 @@ pub fn sleep(p: &SleepParams) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flow::{parse_engine, parse_fill, FlowKind};
+    use scap::dft::FillPolicy;
+    use scap::tgen::EngineKind;
 
     #[test]
     fn flow_and_fill_parse_strictly() {
@@ -691,9 +591,9 @@ mod tests {
         assert_eq!(parse_engine(Some("sat")).unwrap(), EngineKind::Sat);
         assert!(parse_engine(Some("cnf")).is_err());
         let p = ProfileParams::parse(&Args::from_query("engine=hybrid&flow=conventional")).unwrap();
-        assert_eq!(p.engine, EngineKind::Hybrid);
+        assert_eq!(p.flow.engine, EngineKind::Hybrid);
         let p = ScheduleParams::parse(&Args::from_query("engine=sat")).unwrap();
-        assert_eq!(p.engine, EngineKind::Sat);
+        assert_eq!(p.flow.engine, EngineKind::Sat);
     }
 
     #[test]
@@ -726,7 +626,7 @@ mod tests {
         let args = Args::from_query("budget=1.5&flow=conventional&fill=random-fill");
         let p = ScheduleParams::parse(&args).unwrap();
         assert_eq!(p.budget_mw, Some(1.5));
-        assert_eq!(p.flow, FlowKind::Conventional);
+        assert_eq!(p.flow.kind, FlowKind::Conventional);
     }
 
     #[test]

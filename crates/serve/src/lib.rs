@@ -33,7 +33,8 @@
 //!   [`scap_exec::BoundedQueue`]) — fixed workers, fixed queue depth,
 //!   per-request deadlines; a full queue answers `503` +
 //!   `Retry-After` (**backpressure**) instead of accepting unbounded
-//!   work, and a missed deadline answers `504` with the job abandoned;
+//!   work, a missed deadline answers `504` with the job abandoned, and
+//!   a handler that panics answers `500` while its worker lives on;
 //! * **graceful shutdown** — stop accepting, drain in-flight jobs,
 //!   flush a final metrics snapshot (returned from [`Server::run`]).
 //!
@@ -45,6 +46,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod cache;
+pub mod flow;
 pub mod handlers;
 pub mod http;
 pub mod loadgen;
@@ -56,8 +58,9 @@ pub use handlers::{lint_report, lint_report_with};
 use cache::{DesignCache, ResponseCache};
 use http::{read_request, ReadError, Request, Response};
 use params::Args;
-use pool::JobPool;
+use pool::{JobError, JobPool};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -94,6 +97,63 @@ impl Default for ServeConfig {
             response_cache_capacity: 32,
             default_deadline: Duration::from_secs(60),
             debug_endpoints: false,
+        }
+    }
+}
+
+impl ServeConfig {
+    /// Reads the `scap serve` flags over the [`ServeConfig::default`]
+    /// values: `--addr`, `--workers`, `--queue-depth`,
+    /// `--cache-capacity` (design LRU), `--cache-cap` (response LRU),
+    /// `--deadline-ms` and `--debug-endpoints`.
+    pub fn from_args(args: &Args) -> Result<ServeConfig, String> {
+        let d = ServeConfig::default();
+        let deadline_ms =
+            args.usize_flag("deadline-ms", d.default_deadline.as_millis() as usize)?;
+        Ok(ServeConfig {
+            addr: args.get("addr").unwrap_or(&d.addr).to_owned(),
+            workers: args.usize_flag("workers", d.workers)?,
+            queue_depth: args.usize_flag("queue-depth", d.queue_depth)?,
+            cache_capacity: args.usize_flag("cache-capacity", d.cache_capacity)?,
+            response_cache_capacity: args.usize_flag("cache-cap", d.response_cache_capacity)?,
+            default_deadline: Duration::from_millis(deadline_ms as u64),
+            debug_endpoints: args.has("debug-endpoints"),
+        })
+    }
+}
+
+/// The `scap serve` process, shared by the `scap serve` subcommand and
+/// the `scap-cluster-worker` binary: configures from
+/// [`ServeConfig::from_args`], prints the one stable line tooling
+/// parses for the (possibly ephemeral) port —
+/// `scap serve listening on http://ADDR` — and serves until
+/// `POST /v1/shutdown` drains it, printing the final metrics on the way
+/// out. Exits 2 on a bad flag, 1 when binding or serving fails.
+pub fn serve_main(args: &Args) -> ExitCode {
+    let cfg = match ServeConfig::from_args(args) {
+        Ok(cfg) => cfg,
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            return ExitCode::from(2);
+        }
+    };
+    let server = match Server::bind(cfg) {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("error: cannot bind: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    println!("scap serve listening on http://{}", server.local_addr());
+    match server.run() {
+        Ok(snapshot) => {
+            println!("scap serve drained; final metrics:");
+            print!("{}", scap_obs::render(&snapshot));
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("error: serve failed: {e}");
+            ExitCode::FAILURE
         }
     }
 }
@@ -412,8 +472,11 @@ fn pooled(ctx: &ServerCtx, route: Route, args: &Args) -> Response {
     };
     match ctx.pool.try_submit(job) {
         Ok(handle) => match handle.wait_timeout(deadline) {
-            Some(response) => response,
-            None => Response::error(504, "deadline exceeded; partial work dropped"),
+            Ok(response) => response,
+            Err(JobError::TimedOut) => {
+                Response::error(504, "deadline exceeded; partial work dropped")
+            }
+            Err(JobError::Panicked) => Response::error(500, "internal error: the handler panicked"),
         },
         Err(pool::Busy) => {
             Response::error(503, "job queue full; retry later").with_header("retry-after", "1")

@@ -90,21 +90,29 @@ pub fn request_with_timeouts(
         .ok_or_else(|| std::io::Error::new(std::io::ErrorKind::InvalidData, "malformed response"))
 }
 
+/// Parses one whole exchange read to EOF. A body that disagrees with a
+/// declared `content-length` is rejected: a server that died between
+/// writing the head and the body leaves a short body behind, and
+/// passing that on as a complete answer would hide the crash (the
+/// cluster coordinator fails over on the resulting transport error).
 fn parse_response(raw: &[u8]) -> Option<ClientResponse> {
     let head_end = raw.windows(4).position(|w| w == b"\r\n\r\n")?;
     let head = std::str::from_utf8(&raw[..head_end]).ok()?;
     let mut lines = head.split("\r\n");
     let status_line = lines.next()?;
     let status: u16 = status_line.split_ascii_whitespace().nth(1)?.parse().ok()?;
-    let headers = lines
-        .filter_map(|l| l.split_once(':'))
-        .map(|(n, v)| (n.trim().to_ascii_lowercase(), v.trim().to_owned()))
-        .collect();
-    Some(ClientResponse {
+    let resp = ClientResponse {
         status,
-        headers,
+        headers: lines
+            .filter_map(|l| l.split_once(':'))
+            .map(|(n, v)| (n.trim().to_ascii_lowercase(), v.trim().to_owned()))
+            .collect(),
         body: raw[head_end + 4..].to_vec(),
-    })
+    };
+    match resp.header("content-length") {
+        Some(len) if len.parse::<usize>().ok()? != resp.body.len() => None,
+        _ => Some(resp),
+    }
 }
 
 /// Outcome of one [`burst`]: every response (in completion order) plus
@@ -241,6 +249,18 @@ mod tests {
     fn rejects_garbage() {
         assert!(parse_response(b"not http").is_none());
         assert!(parse_response(b"HTTP/1.1 banana\r\n\r\n").is_none());
+    }
+
+    #[test]
+    fn rejects_a_body_shorter_than_its_content_length() {
+        // What a worker killed between writing the head and the body
+        // leaves on the wire: a 200 head promising 100 bytes, then 5.
+        let truncated = b"HTTP/1.1 200 OK\r\ncontent-length: 100\r\n\r\n{\"a\":";
+        assert!(parse_response(truncated).is_none());
+        assert!(parse_response(b"HTTP/1.1 200 OK\r\ncontent-length: x\r\n\r\n").is_none());
+        // The whole body parses.
+        let whole = b"HTTP/1.1 200 OK\r\ncontent-length: 3\r\n\r\n{}\n";
+        assert_eq!(parse_response(whole).unwrap().text(), "{}\n");
     }
 
     #[test]

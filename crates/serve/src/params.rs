@@ -114,14 +114,18 @@ impl Args {
             .collect()
     }
 
-    /// `--scale` in `(0, 1]`, defaulting to 0.01.
+    /// `--scale` in `[MIN_SCALE, 1]` (the generator's floor, see
+    /// [`scap::soc::MIN_SCALE`]), defaulting to 0.01.
     pub fn scale(&self) -> Result<f64, String> {
         let Some(raw) = self.get("scale") else {
             return Ok(0.01);
         };
         match raw.parse::<f64>() {
-            Ok(s) if s > 0.0 && s <= 1.0 => Ok(s),
-            Ok(s) => Err(format!("scale must be in (0, 1], got {s}")),
+            Ok(s) if (scap::soc::MIN_SCALE..=1.0).contains(&s) => Ok(s),
+            Ok(s) => Err(format!(
+                "scale must be in [{}, 1], got {s}",
+                scap::soc::MIN_SCALE
+            )),
             Err(_) => Err(format!("scale expects a number, got '{raw}'")),
         }
     }
@@ -271,6 +275,12 @@ mod tests {
         assert!(cli(&["--scale", "zero"]).scale().is_err());
         assert!(cli(&["--scale", "2.0"]).scale().is_err());
         assert!(cli(&["--scale", "-0.1"]).scale().is_err());
+        // Below the generator's floor: a usage error, not a panic later.
+        assert!(cli(&["--scale", "0.0001"]).scale().is_err());
+        assert_eq!(
+            cli(&["--scale", "0.0004"]).scale().unwrap(),
+            scap::soc::MIN_SCALE
+        );
         assert!(cli(&["--threads", "0"]).threads().is_err());
         assert!(cli(&["--seed", "-1"]).seed().is_err());
         assert!(cli(&["--budget", "nan"]).f64_flag("budget").is_err());

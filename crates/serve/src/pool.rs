@@ -7,13 +7,17 @@
 //! `Retry-After` instead of buffering unbounded work. A caller that
 //! stops waiting ([`JobHandle::wait_timeout`] elapsing) abandons its
 //! job: if the job has not started yet the workers skip it entirely;
-//! if it is mid-run its result is dropped on completion. Shutdown is
+//! if it is mid-run its result is dropped on completion. A job that
+//! panics is caught on the worker thread: its caller gets
+//! [`JobError::Panicked`] at once and the worker goes on to the next
+//! job, so one bad request cannot shrink the pool. Shutdown is
 //! graceful by construction — closing the queue lets workers drain
 //! everything already admitted before exiting.
 
 use scap_exec::{BoundedQueue, PushError};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
@@ -22,10 +26,28 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Busy;
 
+/// Why a submitted job produced no value.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum JobError {
+    /// The caller's timeout elapsed first; the job was abandoned.
+    TimedOut,
+    /// The job panicked; the worker caught the unwind and lives on.
+    Panicked,
+}
+
 struct HandleCell<T> {
-    result: Mutex<Option<T>>,
+    result: Mutex<Option<Result<T, JobError>>>,
     done: Condvar,
     abandoned: AtomicBool,
+}
+
+impl<T> HandleCell<T> {
+    /// Locks the result slot, recovering from poison the way
+    /// `DesignCache` does: the slot is only ever replaced whole, so a
+    /// poisoned guard never exposes a half-written value.
+    fn lock(&self) -> MutexGuard<'_, Option<Result<T, JobError>>> {
+        self.result.lock().unwrap_or_else(|e| e.into_inner())
+    }
 }
 
 /// The submitting side's receipt for one job.
@@ -44,30 +66,28 @@ impl<T> std::fmt::Debug for JobHandle<T> {
 impl<T> JobHandle<T> {
     /// Blocks until the job finishes or `timeout` elapses. On timeout
     /// the job is marked abandoned — a still-queued job will be skipped,
-    /// a running one finishes but its result is dropped — and `None` is
-    /// returned.
-    pub fn wait_timeout(self, timeout: Duration) -> Option<T> {
+    /// a running one finishes but its result is dropped — and
+    /// [`JobError::TimedOut`] is returned. A job that panicked returns
+    /// [`JobError::Panicked`] as soon as the worker catches it.
+    pub fn wait_timeout(self, timeout: Duration) -> Result<T, JobError> {
         let deadline = Instant::now() + timeout;
-        let mut slot = self.cell.result.lock().expect("job handle poisoned");
+        let mut slot = self.cell.lock();
         loop {
-            if let Some(value) = slot.take() {
-                return Some(value);
+            if let Some(outcome) = slot.take() {
+                return outcome;
             }
             let now = Instant::now();
             if now >= deadline {
                 self.cell.abandoned.store(true, Ordering::Release);
                 scap_obs::counter!("serve.jobs.timed_out").incr();
-                return None;
+                return Err(JobError::TimedOut);
             }
-            let (next, timed_out) = self
-                .cell
-                .done
-                .wait_timeout(slot, deadline - now)
-                .expect("job handle poisoned");
-            slot = next;
-            // Loop re-checks the slot even on timeout: the worker may
-            // have finished right at the boundary.
-            let _ = timed_out;
+            // The loop re-checks the slot even on timeout: the worker
+            // may have finished right at the boundary.
+            slot = match self.cell.done.wait_timeout(slot, deadline - now) {
+                Ok((next, _)) => next,
+                Err(poisoned) => poisoned.into_inner().0,
+            };
         }
     }
 }
@@ -134,11 +154,13 @@ impl JobPool {
                 scap_obs::counter!("serve.jobs.abandoned").incr();
                 return;
             }
-            let value = f();
-            scap_obs::counter!("serve.jobs.completed").incr();
-            let mut slot = worker_cell.result.lock().expect("job handle poisoned");
-            *slot = Some(value);
-            drop(slot);
+            let outcome = catch_unwind(AssertUnwindSafe(f)).map_err(|_| JobError::Panicked);
+            if outcome.is_ok() {
+                scap_obs::counter!("serve.jobs.completed").incr();
+            } else {
+                scap_obs::counter!("serve.jobs.panicked").incr();
+            }
+            *worker_cell.lock() = Some(outcome);
             worker_cell.done.notify_all();
         });
         match self.queue.try_push(job) {
@@ -207,8 +229,8 @@ mod tests {
         let (lock, cv) = &*gate;
         *lock.lock().unwrap() = true;
         cv.notify_all();
-        assert!(running.wait_timeout(Duration::from_secs(5)).is_some());
-        assert!(queued.wait_timeout(Duration::from_secs(5)).is_some());
+        assert!(running.wait_timeout(Duration::from_secs(5)).is_ok());
+        assert!(queued.wait_timeout(Duration::from_secs(5)).is_ok());
         pool.shutdown();
     }
 
@@ -221,7 +243,10 @@ mod tests {
             .try_submit(|| std::thread::sleep(Duration::from_millis(300)))
             .unwrap();
         let fast = pool.try_submit(|| 42u32).unwrap();
-        assert_eq!(fast.wait_timeout(Duration::from_millis(50)), None);
+        assert_eq!(
+            fast.wait_timeout(Duration::from_millis(50)),
+            Err(JobError::TimedOut)
+        );
         pool.shutdown(); // drains: the abandoned job must be skipped, not run
     }
 
@@ -242,7 +267,28 @@ mod tests {
         pool.shutdown();
         assert_eq!(counter.load(Ordering::SeqCst), 5);
         for h in handles {
-            assert!(h.wait_timeout(Duration::from_millis(1)).is_some());
+            assert!(h.wait_timeout(Duration::from_millis(1)).is_ok());
         }
+    }
+
+    #[test]
+    fn panicking_job_fails_promptly_and_the_worker_survives() {
+        let pool = JobPool::new(1, 4);
+        let t = Instant::now();
+        let bad = pool
+            .try_submit(|| -> u32 { panic!("handler bug") })
+            .unwrap();
+        assert_eq!(
+            bad.wait_timeout(Duration::from_secs(10)),
+            Err(JobError::Panicked)
+        );
+        assert!(
+            t.elapsed() < Duration::from_secs(5),
+            "a panic must answer promptly, not at the deadline"
+        );
+        // The pool's only worker caught the unwind and takes new jobs.
+        let next = pool.try_submit(|| 7u32).unwrap();
+        assert_eq!(next.wait_timeout(Duration::from_secs(5)), Ok(7));
+        pool.shutdown();
     }
 }

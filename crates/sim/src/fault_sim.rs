@@ -12,7 +12,7 @@ use crate::loc::{loc_frames_batch, los_frames_batch, BatchFrames};
 use crate::sched::LevelQueue;
 use crate::Polarity;
 use crate::{BatchSim, FaultSite, TransitionFault};
-use scap_netlist::{ClockId, GateId, NetSource, Netlist};
+use scap_netlist::{ClockId, NetSource, Netlist};
 use serde::{Deserialize, Serialize};
 
 /// How the second frame of a transition-fault pattern is launched.
@@ -64,8 +64,6 @@ pub struct TransitionFaultSim<'a> {
     batch: BatchSim<'a>,
     active_clock: ClockId,
     mode: LaunchMode,
-    /// Level of the gate driving each net (+1); 0 for source nets.
-    net_level: Vec<u32>,
     /// Whether each net is a capture observation point.
     observed: Vec<bool>,
     /// Whether each net reaches an observed capture point through
@@ -87,10 +85,6 @@ impl<'a> TransitionFaultSim<'a> {
     pub fn with_mode(netlist: &'a Netlist, active_clock: ClockId, mode: LaunchMode) -> Self {
         let batch = BatchSim::new(netlist);
         let lv = batch.levelization();
-        let mut net_level = vec![0u32; netlist.num_nets()];
-        for &g in lv.order() {
-            net_level[netlist.gate(g).output.index()] = lv.level(g) + 1;
-        }
         let mut observed = vec![false; netlist.num_nets()];
         for f in netlist.flops() {
             if f.clock == active_clock {
@@ -118,12 +112,18 @@ impl<'a> TransitionFaultSim<'a> {
                 }
             }
         }
-        let num_levels = net_level.iter().copied().max().unwrap_or(0) + 1;
+        // Net levels run from 0 (sources) to one past the deepest gate.
+        let num_levels = lv
+            .order()
+            .iter()
+            .map(|&g| lv.level(g) + 1)
+            .max()
+            .unwrap_or(0)
+            + 1;
         TransitionFaultSim {
             batch,
             active_clock,
             mode,
-            net_level,
             observed,
             observable,
             num_levels,
@@ -406,101 +406,6 @@ impl<'a> TransitionFaultSim<'a> {
             |net, diff| signature.push((scap_netlist::NetId::new(net), diff)),
         );
         signature
-    }
-
-    #[inline]
-    fn gate_key(&self, g: GateId) -> (u32, u32) {
-        (
-            self.net_level[self.batch.netlist().gate(g).output.index()],
-            g.raw(),
-        )
-    }
-
-    /// Reference propagator retained as a differential-testing oracle:
-    /// the original `BinaryHeap<Reverse<(level, gate)>>` + `HashSet`
-    /// propagation that the bucket-queue kernel replaced. Allocates its
-    /// working set per call — use only in tests and cross-checks.
-    pub fn detect_one_reference(
-        &self,
-        frames: &BatchFrames,
-        valid_mask: u64,
-        fault: TransitionFault,
-    ) -> u64 {
-        use std::cmp::Reverse;
-        use std::collections::{BinaryHeap, HashSet};
-        let netlist = self.batch.netlist();
-        let site_net = fault.site.net(netlist);
-        let v1 = frames.frame1[site_net.index()];
-        let v2 = frames.frame2[site_net.index()];
-        let launch = match fault.polarity {
-            Polarity::SlowToRise => !v1 & v2,
-            Polarity::SlowToFall => v1 & !v2,
-        } & valid_mask;
-        if launch == 0 {
-            return 0;
-        }
-        let mut diff = vec![0u64; netlist.num_nets()];
-        let mut queue: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
-        let mut enqueued: HashSet<u32> = HashSet::new();
-        let enqueue = |queue: &mut BinaryHeap<Reverse<(u32, u32)>>,
-                       enqueued: &mut HashSet<u32>,
-                       key: (u32, u32)| {
-            if enqueued.insert(key.1) {
-                queue.push(Reverse(key));
-            }
-        };
-        let mut detected = 0u64;
-        match fault.site {
-            FaultSite::Net(n) => {
-                diff[n.index()] = launch;
-                if self.observed[n.index()] {
-                    detected |= launch;
-                }
-                for &g in netlist.fanout_gates(n) {
-                    enqueue(&mut queue, &mut enqueued, self.gate_key(g));
-                }
-            }
-            FaultSite::Pin { gate, pin } => {
-                let g = netlist.gate(gate);
-                let mut ins = [0u64; 4];
-                for (k, &inp) in g.inputs.iter().enumerate() {
-                    ins[k] = frames.frame2[inp.index()];
-                }
-                ins[pin as usize] ^= launch;
-                let faulty = g.kind.eval_word(&ins[..g.inputs.len()]);
-                let d = (faulty ^ frames.frame2[g.output.index()]) & valid_mask;
-                if d == 0 {
-                    return 0;
-                }
-                diff[g.output.index()] = d;
-                if self.observed[g.output.index()] {
-                    detected |= d;
-                }
-                for &succ in netlist.fanout_gates(g.output) {
-                    enqueue(&mut queue, &mut enqueued, self.gate_key(succ));
-                }
-            }
-        }
-        while let Some(Reverse((_, graw))) = queue.pop() {
-            let gate = netlist.gate(GateId::new(graw));
-            let mut ins = [0u64; 4];
-            for (k, &inp) in gate.inputs.iter().enumerate() {
-                ins[k] = frames.frame2[inp.index()] ^ diff[inp.index()];
-            }
-            let faulty = gate.kind.eval_word(&ins[..gate.inputs.len()]);
-            let out = gate.output.index();
-            let d = (faulty ^ frames.frame2[out]) & valid_mask;
-            if d != 0 {
-                diff[out] |= d;
-                if self.observed[out] {
-                    detected |= d;
-                }
-                for &succ in netlist.fanout_gates(gate.output) {
-                    enqueue(&mut queue, &mut enqueued, self.gate_key(succ));
-                }
-            }
-        }
-        detected
     }
 }
 

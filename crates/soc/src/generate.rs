@@ -9,6 +9,14 @@ use scap_netlist::{
 };
 use serde::{Deserialize, Serialize};
 
+/// Smallest scale the Turbo-Eagle plan builds at. Every block needs at
+/// least one flop to seed its logic cloud. The binding block is B4,
+/// whose only flops are its 8 % share of `clka`'s 18 000: it gets one
+/// once `round(18 000 · scale) ≥ 7`, i.e. from scale 6.5 / 18 000
+/// ≈ 0.00036. The floor rounds that up. Flop counts depend on the scale
+/// alone, not the seed, so the floor holds for every seed.
+pub const MIN_SCALE: f64 = 0.0004;
+
 /// Generator parameters.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct SocConfig {
@@ -574,6 +582,21 @@ mod tests {
             let o = BlockId::new(other);
             if o != b5 {
                 assert!(count(b5) >= count(o), "B5 must be the largest block");
+            }
+        }
+    }
+
+    #[test]
+    fn every_block_gets_flops_at_the_scale_floor() {
+        for seed in [1, 2, 3, SocConfig::turbo_eagle(1.0).seed] {
+            let mut config = SocConfig::turbo_eagle(MIN_SCALE);
+            config.seed = seed;
+            let d = SocDesign::generate(&config);
+            for b in 0..6 {
+                assert!(
+                    d.netlist.flops_in_block(BlockId::new(b)).count() > 0,
+                    "block {b} has no flops at the floor (seed {seed})"
+                );
             }
         }
     }

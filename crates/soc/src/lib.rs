@@ -37,5 +37,5 @@
 mod generate;
 mod report;
 
-pub use generate::{DomainPlan, SocConfig, SocDesign, SocPlan};
+pub use generate::{DomainPlan, SocConfig, SocDesign, SocPlan, MIN_SCALE};
 pub use report::{ClockDomainRow, DesignReport};

@@ -41,9 +41,9 @@ mod annotation;
 mod clock_tree;
 pub mod scaling;
 mod slack;
+#[cfg(test)]
 mod sta;
 
 pub use annotation::DelayAnnotation;
 pub use clock_tree::{ClockArrivals, ClockTree, TreeBuffer};
-pub use slack::{RiskTier, SlackSta};
-pub use sta::{EndpointTiming, PathReport, Sta};
+pub use slack::{EndpointTiming, PathReport, RiskTier, SlackSta};

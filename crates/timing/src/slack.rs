@@ -2,10 +2,10 @@
 //! passes over the levelized netlist, per-net slack, launch reachability
 //! and fault risk tiers.
 //!
-//! [`Sta`](crate::Sta) computes only the forward max-arrival pass; this
-//! module adds the backward pass so every *net* (not just every endpoint)
-//! carries a slack — the slack of the worst path through that net. That is
-//! the quantity the paper's flow needs twice over:
+//! The forward max-arrival pass gives every endpoint its data arrival;
+//! the backward pass gives every *net* (not just every endpoint) a
+//! slack — the slack of the worst path through that net. That is the
+//! quantity the paper's flow needs twice over:
 //!
 //! * **fault risk tiers** (paper §4): a transition fault on a
 //!   near-critical net is the one supply noise can push past the capture
@@ -15,13 +15,33 @@
 //!   turns the nominal slack distribution into the noise-aware one, and
 //!   the delta is exactly the paper's "Region 2" false-failure population.
 //!
-//! The forward pass is bit-identical to [`Sta`](crate::Sta) (the retained
-//! oracle); both are sequential over the levelization, so results are
-//! byte-identical across thread counts by construction.
+//! The forward pass is bit-identical to a plain forward-only sweep (the
+//! oracle the crate's tests keep); both are sequential over the
+//! levelization, so results are byte-identical across thread counts by
+//! construction.
 
-use crate::sta::trace_path;
-use crate::{ClockArrivals, DelayAnnotation, EndpointTiming, PathReport};
+use crate::{ClockArrivals, DelayAnnotation};
 use scap_netlist::{FlopId, Levelization, NetId, NetSource, Netlist};
+
+/// Timing of one capture endpoint (a flop D pin).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct EndpointTiming {
+    /// The capturing flop.
+    pub flop: FlopId,
+    /// Worst data arrival at the D pin, ps, measured from the launch clock
+    /// edge at time 0.
+    pub data_arrival_ps: f64,
+    /// Required time: capture-clock arrival + period − setup, ps.
+    pub required_ps: f64,
+}
+
+impl EndpointTiming {
+    /// Slack in ps (negative = violation).
+    #[inline]
+    pub fn slack_ps(&self) -> f64 {
+        self.required_ps - self.data_arrival_ps
+    }
+}
 
 /// How exposed a fault site is to supply-noise-induced delay, judged by
 /// the slack of the worst path through its net.
@@ -103,8 +123,9 @@ impl SlackSta {
     /// Runs the forward and backward passes for the domain covered by
     /// `clock_arrivals`.
     ///
-    /// The forward pass matches [`Sta::run`](crate::Sta::run) exactly;
-    /// the backward pass seeds each in-domain endpoint's D net with its
+    /// The forward pass propagates max arrivals from each flop's clock
+    /// arrival plus clock-to-Q (primary inputs at time 0); the backward
+    /// pass seeds each in-domain endpoint's D net with its
     /// required time and relaxes `required[input] =
     /// min(required[output] − gate_delay)` in reverse topological order.
     pub fn run(
@@ -274,10 +295,65 @@ impl SlackSta {
     }
 }
 
+/// Walks back from an endpoint's D net through the max-arrival
+/// predecessor at every gate until a launch point (flop Q, primary input
+/// or constant). Arrival ties resolve to the lowest net id so the traced
+/// path is unique. Returns `(net, arrival)` pairs, launch first.
+pub(crate) fn trace_path(
+    netlist: &Netlist,
+    arrival_ps: impl Fn(NetId) -> f64,
+    endpoint: FlopId,
+) -> Vec<(NetId, f64)> {
+    let mut nets = Vec::new();
+    let mut net = netlist.flop(endpoint).d;
+    loop {
+        nets.push((net, arrival_ps(net)));
+        match netlist.net(net).source {
+            Some(NetSource::Gate(g)) => {
+                let gate = netlist.gate(g);
+                net = gate
+                    .inputs
+                    .iter()
+                    .copied()
+                    .min_by(|a, b| {
+                        arrival_ps(*b)
+                            .total_cmp(&arrival_ps(*a))
+                            .then_with(|| a.index().cmp(&b.index()))
+                    })
+                    .expect("gates have inputs");
+            }
+            _ => break,
+        }
+    }
+    nets.reverse();
+    nets
+}
+
+/// One traced timing path, launch to capture.
+#[derive(Clone, Debug)]
+pub struct PathReport {
+    /// The capturing flop.
+    pub endpoint: FlopId,
+    /// Data arrival at the endpoint, ps.
+    pub data_arrival_ps: f64,
+    /// Endpoint slack, ps.
+    pub slack_ps: f64,
+    /// `(net, arrival)` along the path, launch first.
+    pub nets: Vec<(NetId, f64)>,
+}
+
+impl PathReport {
+    /// Logic depth of the path (number of gate stages).
+    pub fn depth(&self) -> usize {
+        self.nets.len().saturating_sub(1)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ClockTree, Sta};
+    use crate::sta::Sta;
+    use crate::ClockTree;
     use scap_netlist::{
         CellKind, ClockEdge, ClockId, Die, Floorplan, NetlistBuilder, Placement, Point, Rect,
     };

@@ -1,47 +1,17 @@
-//! Static timing analysis: longest-path arrival per net and per endpoint.
+//! Forward-only longest-path STA, kept as the test oracle for
+//! [`SlackSta`](crate::SlackSta)'s forward pass: the straightforward
+//! max-arrival sweep the shipped analysis extends with a backward
+//! required-time pass. Compiled for tests only.
 
-use crate::{ClockArrivals, DelayAnnotation};
-use scap_netlist::{FlopId, Levelization, NetId, NetSource, Netlist};
-
-/// Timing of one capture endpoint (a flop D pin).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct EndpointTiming {
-    /// The capturing flop.
-    pub flop: FlopId,
-    /// Worst data arrival at the D pin, ps, measured from the launch clock
-    /// edge at time 0.
-    pub data_arrival_ps: f64,
-    /// Required time: capture-clock arrival + period − setup, ps.
-    pub required_ps: f64,
-}
-
-impl EndpointTiming {
-    /// Slack in ps (negative = violation).
-    #[inline]
-    pub fn slack_ps(&self) -> f64 {
-        self.required_ps - self.data_arrival_ps
-    }
-}
+use crate::slack::trace_path;
+use crate::{ClockArrivals, DelayAnnotation, EndpointTiming, PathReport};
+use scap_netlist::{FlopId, Levelization, NetId, Netlist};
 
 /// Topological longest-path analysis under a [`DelayAnnotation`].
 ///
 /// Launch model: every flop Q toggles at its clock arrival + clock-to-Q;
 /// primary inputs change at time 0 (the paper holds PIs constant during
 /// at-speed test, so they rarely dominate).
-///
-/// # Example
-///
-/// ```no_run
-/// # use scap_netlist::{Netlist, ClockId, Floorplan};
-/// # fn demo(netlist: &Netlist, floorplan: &Floorplan) {
-/// use scap_timing::{ClockTree, DelayAnnotation, Sta};
-/// let ann = DelayAnnotation::extract(netlist, floorplan);
-/// let tree = ClockTree::synthesize(netlist, floorplan, ClockId::new(0));
-/// let sta = Sta::run(netlist, &ann, &tree.arrivals());
-/// let wns = sta.endpoints().iter().map(|e| e.slack_ps()).fold(f64::MAX, f64::min);
-/// println!("WNS = {wns} ps");
-/// # }
-/// ```
 #[derive(Clone, Debug)]
 pub struct Sta {
     arrival_ps: Vec<f64>,
@@ -122,16 +92,6 @@ impl Sta {
             .min_by(|a, b| a.partial_cmp(b).expect("slacks are finite"))
     }
 
-    /// Marks nets on any path whose endpoint arrival equals the critical
-    /// path (within `tol_ps`). Used to pick "long path" patterns.
-    pub fn is_near_critical(&self, netlist: &Netlist, net: NetId, tol_ps: f64) -> bool {
-        // A net is near-critical if its arrival plus the remaining longest
-        // path to an endpoint is within tolerance; approximate with the
-        // arrival alone relative to the critical path.
-        let _ = netlist;
-        self.arrival_ps(net) + tol_ps >= self.critical_path_ps()
-    }
-
     /// Traces the `count` worst paths: for each of the latest-arriving
     /// endpoints, walks back through the max-arrival predecessor at every
     /// gate until a launch point (flop Q, primary input or constant).
@@ -160,60 +120,6 @@ impl Sta {
                 }
             })
             .collect()
-    }
-}
-
-/// Walks back from an endpoint's D net through the max-arrival
-/// predecessor at every gate until a launch point (flop Q, primary input
-/// or constant). Arrival ties resolve to the lowest net id so the traced
-/// path is unique. Returns `(net, arrival)` pairs, launch first.
-pub(crate) fn trace_path(
-    netlist: &Netlist,
-    arrival_ps: impl Fn(NetId) -> f64,
-    endpoint: FlopId,
-) -> Vec<(NetId, f64)> {
-    let mut nets = Vec::new();
-    let mut net = netlist.flop(endpoint).d;
-    loop {
-        nets.push((net, arrival_ps(net)));
-        match netlist.net(net).source {
-            Some(NetSource::Gate(g)) => {
-                let gate = netlist.gate(g);
-                net = gate
-                    .inputs
-                    .iter()
-                    .copied()
-                    .min_by(|a, b| {
-                        arrival_ps(*b)
-                            .total_cmp(&arrival_ps(*a))
-                            .then_with(|| a.index().cmp(&b.index()))
-                    })
-                    .expect("gates have inputs");
-            }
-            _ => break,
-        }
-    }
-    nets.reverse();
-    nets
-}
-
-/// One traced timing path, launch to capture.
-#[derive(Clone, Debug)]
-pub struct PathReport {
-    /// The capturing flop.
-    pub endpoint: FlopId,
-    /// Data arrival at the endpoint, ps.
-    pub data_arrival_ps: f64,
-    /// Endpoint slack, ps.
-    pub slack_ps: f64,
-    /// `(net, arrival)` along the path, launch first.
-    pub nets: Vec<(NetId, f64)>,
-}
-
-impl PathReport {
-    /// Logic depth of the path (number of gate stages).
-    pub fn depth(&self) -> usize {
-        self.nets.len().saturating_sub(1)
     }
 }
 
