@@ -8,13 +8,12 @@ use scap_dft::{FillPolicy, PatternBatch, PatternSet, TestPattern};
 use scap_exec::{shard_ranges, Executor};
 use scap_netlist::{ClockId, Netlist};
 use scap_sim::{FaultList, LaunchMode, PropagationScratch, TransitionFault, TransitionFaultSim};
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Which search engine targets primary faults, and whether aborted
 /// searches get a SAT second opinion.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EngineKind {
     /// Structural PODEM only — the default; aborts stay aborts.
     #[default]
@@ -53,7 +52,7 @@ impl EngineKind {
 }
 
 /// ATPG knobs.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct AtpgConfig {
     /// Don't-care fill policy applied to every closed pattern.
     pub fill: FillPolicy,
@@ -93,7 +92,7 @@ impl Default for AtpgConfig {
 }
 
 /// Classification of each fault after a run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultStatus {
     /// Not yet detected.
     Undetected,
@@ -107,7 +106,7 @@ pub enum FaultStatus {
 }
 
 /// The result of one ATPG run.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct AtpgRun {
     /// Generated patterns, in generation order.
     pub patterns: PatternSet,

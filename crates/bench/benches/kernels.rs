@@ -52,24 +52,19 @@ fn bench(c: &mut Criterion) {
     let currents: Vec<f64> = (0..grid.num_nodes())
         .map(|_| rng.gen::<f64>() * 1e-4)
         .collect();
+    // The same cold-start solve through a fresh solver each time and
+    // through one solver whose scratch allocations are reused
+    // (bit-identical results).
     g.bench_function("grid_cg_solve_576_nodes", |b| {
-        b.iter(|| grid.solve(&currents))
+        b.iter(|| grid.solver().solve(&currents))
     });
-
-    // Solver-reuse variants of the same solve: hoisted scratch
-    // allocations (cold start, bit-identical) and warm start from the
-    // previous solution (same tolerance, fewer iterations).
     let mut solver = grid.solver();
     g.bench_function("grid_cg_solve_reused_scratch", |b| {
         b.iter(|| solver.solve(&currents))
     });
-    let mut warm = grid.solver();
-    g.bench_function("grid_cg_solve_warm_start", |b| {
-        b.iter(|| warm.solve_warm(&currents))
-    });
 
-    // Per-pattern dynamic IR-drop: one-shot (grid system assembled per
-    // pattern) vs the profile path (assembled once + session reuse).
+    // Per-pattern dynamic IR-drop: one call per pattern (a fresh session
+    // each) vs the parallel profile path (one session per worker).
     use scap::PatternAnalyzer;
     let analyzer = PatternAnalyzer::new(study);
     let pats = filled[..8].to_vec();

@@ -15,10 +15,11 @@ fn bench(c: &mut Criterion) {
     let analyzer = PatternAnalyzer::new(study);
     let trace = analyzer.trace(&conv.patterns.filled[t4.pattern_index]);
     let dynir = DynamicAnalysis::new(&study.design.netlist, &study.design.floorplan, study.grid);
+    let mut session = dynir.session();
     let mut g = c.benchmark_group("table4");
     g.sample_size(20);
     g.bench_function("dynamic_irdrop_solve", |b| {
-        b.iter(|| dynir.analyze(&study.annotation, &trace))
+        b.iter(|| session.analyze(&study.annotation, &trace))
     });
     g.finish();
 }

@@ -11,8 +11,8 @@
 //! Besides the human-readable report, the run writes
 //! `BENCH_evaluation.json` (override the path with `SCAP_BENCH_JSON`):
 //! per-stage wall-clock in milliseconds **and the counters that advanced
-//! during the stage** (CG iterations, warm-start hits, fault-sim
-//! detections, patterns screened, …), the requested and *effective*
+//! during the stage** (CG solves and iterations, fault-sim detections,
+//! patterns screened, …), the requested and *effective*
 //! worker-thread counts and the design scale, so serial-vs-parallel
 //! comparisons are machine-checkable and hot stages are attributable to
 //! actual work rather than guessed at.
@@ -96,8 +96,8 @@ impl StageClock {
     /// Per-stage `"metrics"` hold the *nonzero* counter deltas; the
     /// `"totals"` object lists every registered metric with its final
     /// cumulative value (zeros included), so the full instrumentation
-    /// surface — e.g. `cg.warm_hits` even on an all-cold-start run — is
-    /// visible in the document.
+    /// surface — counters whose call site ran but never advanced too —
+    /// is visible in the document.
     fn to_json(
         &self,
         scale: f64,

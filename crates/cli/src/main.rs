@@ -213,14 +213,18 @@ fn profile(args: &Args) -> ExitCode {
 
 fn schedule_cmd(args: &Args) -> ExitCode {
     let spec = try_flag!(FlowSpec::parse(args));
+    // Validated like `POST /v1/schedule`, before the design is built.
+    let budget = try_flag!(args.f64_flag("budget"));
+    if let Some(b) = budget.filter(|&b| b <= 0.0) {
+        eprintln!("error: --budget expects a positive power in mW, got {b}");
+        return ExitCode::from(2);
+    }
     let study = try_flag!(build_study(args));
     let flow = spec.run(&study);
     let tests = schedule::block_tests_from_flow(&study, &flow);
     let serial = schedule::serial_length(&tests);
-    let budget: f64 = args
-        .get("budget")
-        .and_then(|b| b.parse().ok())
-        .unwrap_or_else(|| 2.0 * tests.iter().map(|t| t.power_mw).fold(0.0, f64::max));
+    let budget =
+        budget.unwrap_or_else(|| 2.0 * tests.iter().map(|t| t.power_mw).fold(0.0, f64::max));
     let plan = schedule::schedule(&tests, budget);
     println!("budget {budget:.2} mW | serial length {serial} patterns");
     for (i, s) in plan.sessions.iter().enumerate() {
@@ -539,6 +543,8 @@ mod tests {
             &["atpg", "--scale", "0.004", "--fill", "fill-O"],
             &["profile", "--scale", "0.004", "--engine", "cnf"],
             &["schedule", "--scale", "0.004", "--flow", "bogus"],
+            &["schedule", "--scale", "0.004", "--budget", "abc"],
+            &["schedule", "--scale", "0.004", "--budget", "-1"],
         ] {
             let args = cli(bad);
             let code = match bad[0] {

@@ -4,7 +4,7 @@ use crate::CaseStudy;
 use scap_dft::{FilledPattern, PatternBatch, PatternSet};
 use scap_exec::Executor;
 use scap_netlist::{ClockId, FlopId, Netlist};
-use scap_power::{DynamicAnalysis, IrDropMap, PatternPower, ScapCalculator};
+use scap_power::{DynSession, DynamicAnalysis, IrDropMap, PatternPower, ScapCalculator};
 use scap_sim::{loc, BatchSim, EventSim, ToggleTrace};
 use scap_timing::{scaling, ClockArrivals, DelayAnnotation};
 
@@ -29,8 +29,10 @@ impl EndpointDelayReport {
     }
 }
 
-/// Computes traces, power and timing for individual patterns of one
-/// case-study design.
+/// Computes traces, power, IR drop and timing for individual patterns of
+/// one case-study design. The power mesh is assembled once, in
+/// [`PatternAnalyzer::new`]; every IR-drop solve goes through a
+/// [`DynSession`] over it.
 ///
 /// # Example
 ///
@@ -52,17 +54,26 @@ impl EndpointDelayReport {
 pub struct PatternAnalyzer<'a> {
     study: &'a CaseStudy,
     batch: BatchSim<'a>,
+    dynir: DynamicAnalysis<'a>,
     active_clock: ClockId,
 }
 
 impl<'a> PatternAnalyzer<'a> {
     /// Builds an analyzer bound to a case study.
     pub fn new(study: &'a CaseStudy) -> Self {
+        let d = &study.design;
         PatternAnalyzer {
             study,
-            batch: BatchSim::new(&study.design.netlist),
+            batch: BatchSim::new(&d.netlist),
+            dynir: DynamicAnalysis::new(&d.netlist, &d.floorplan, study.grid),
             active_clock: study.clka(),
         }
+    }
+
+    /// A dynamic IR-drop session over the analyzer's mesh: reusable
+    /// solver buffers, one session per thread.
+    pub(crate) fn session(&self) -> DynSession<'_, 'a> {
+        self.dynir.session()
     }
 
     fn netlist(&self) -> &'a Netlist {
@@ -142,27 +153,15 @@ impl<'a> PatternAnalyzer<'a> {
     /// Dynamic IR-drop of one pattern.
     pub fn ir_drop(&self, filled: &FilledPattern) -> IrDropMap {
         let trace = self.trace(filled);
-        let dynir = DynamicAnalysis::new(
-            self.netlist(),
-            &self.study.design.floorplan,
-            self.study.grid,
-        );
-        dynir.analyze(&self.study.annotation, &trace)
+        self.session().analyze(&self.study.annotation, &trace)
     }
 
-    /// Dynamic IR-drop of many patterns. The grid system is assembled
-    /// once, patterns are solved in parallel, and each worker keeps one
-    /// [`scap_power::DynSession`] (reused CG buffers) across its share of
-    /// the patterns. Results are bit-identical to calling
+    /// Dynamic IR-drop of many patterns, solved in parallel with one
+    /// [`DynSession`] per worker. Results are bit-identical to calling
     /// [`PatternAnalyzer::ir_drop`] per pattern, in order.
     pub fn ir_drop_profile(&self, patterns: &[FilledPattern]) -> Vec<IrDropMap> {
-        let dynir = DynamicAnalysis::new(
-            self.netlist(),
-            &self.study.design.floorplan,
-            self.study.grid,
-        );
         Executor::new().parallel_map_with(
-            || dynir.session(),
+            || self.session(),
             patterns,
             |session, filled| {
                 let trace = self.trace(filled);
@@ -228,11 +227,21 @@ impl<'a> PatternAnalyzer<'a> {
         filled: &FilledPattern,
         k: f64,
     ) -> (EndpointDelayReport, EndpointDelayReport) {
+        self.endpoint_delays_scaled_in(&mut self.session(), filled, k)
+    }
+
+    /// [`PatternAnalyzer::endpoint_delays_scaled_k`] solving the IR drop
+    /// through the caller's session, so a worker screening many patterns
+    /// keeps its solver buffers.
+    pub(crate) fn endpoint_delays_scaled_in(
+        &self,
+        session: &mut DynSession<'_, '_>,
+        filled: &FilledPattern,
+        k: f64,
+    ) -> (EndpointDelayReport, EndpointDelayReport) {
         let trace = self.trace(filled);
         let nominal = self.endpoints_from_trace(&trace, &self.study.arrivals);
-        let n = self.netlist();
-        let dynir = DynamicAnalysis::new(n, &self.study.design.floorplan, self.study.grid);
-        let map = dynir.analyze(&self.study.annotation, &trace);
+        let map = session.analyze(&self.study.annotation, &trace);
         let scaled_ann = scaling::scale_annotation(
             &self.study.annotation,
             &map.gate_drops_total(),
@@ -242,7 +251,7 @@ impl<'a> PatternAnalyzer<'a> {
         let scaled_arrivals = self
             .study
             .clock_tree
-            .arrivals_with_drop(|p| dynir.drop_at(&map, p), k);
+            .arrivals_with_drop(|p| self.dynir.drop_at(&map, p), k);
         let scaled = self.endpoint_delays_with(filled, &scaled_ann, &scaled_arrivals);
         (nominal, scaled)
     }

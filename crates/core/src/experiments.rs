@@ -10,7 +10,7 @@
 use crate::flows::FlowResult;
 use crate::{CaseStudy, PatternAnalyzer};
 use scap_netlist::BlockId;
-use scap_power::{DynamicAnalysis, IrDropMap, StatisticalAnalysis, StatisticalReport};
+use scap_power::{IrDropMap, StatisticalAnalysis, StatisticalReport};
 use scap_soc::DesignReport;
 use std::fmt::Write as _;
 
@@ -70,22 +70,35 @@ pub struct Table3 {
 
 /// Runs the Table 3 experiment.
 pub fn table3(study: &CaseStudy) -> Table3 {
-    let stat = StatisticalAnalysis::new(&study.design.netlist, &study.design.floorplan, study.grid);
-    let period = study.period_ps();
-    // The two window cases share the (already assembled) grid and are
-    // independent — solve them concurrently.
-    let (case1, case2) = scap_exec::join2(
-        || stat.run(&study.annotation, TOGGLE_PROBABILITY, period),
-        || stat.run(&study.annotation, TOGGLE_PROBABILITY, period / 2.0),
-    );
-    Table3 { case1, case2 }
+    Table3 {
+        case1: statistical_run(study, study.period_ps()),
+        case2: statistical_case2(study),
+    }
+}
+
+/// The paper's Case 2 statistical run (§2.2): toggle probability
+/// [`TOGGLE_PROBABILITY`] over a half-cycle window, the average switching
+/// time window. Its per-block power is the SCAP screening threshold
+/// ([`scap_thresholds`]); its per-block worst drop derates noise-aware
+/// STA ([`crate::sta::NoiseAwareSta`]).
+pub fn statistical_case2(study: &CaseStudy) -> StatisticalReport {
+    statistical_run(study, study.period_ps() / 2.0)
+}
+
+/// One statistical solve at the paper's toggle probability.
+fn statistical_run(study: &CaseStudy, window_ps: f64) -> StatisticalReport {
+    let d = &study.design;
+    StatisticalAnalysis::new(&d.netlist, &d.floorplan, study.grid).run(
+        &study.annotation,
+        TOGGLE_PROBABILITY,
+        window_ps,
+    )
 }
 
 /// The per-block SCAP screening thresholds (mW): the Case 2 average
 /// switching power of each block (§2.2 / §3.2).
 pub fn scap_thresholds(study: &CaseStudy) -> Vec<f64> {
-    table3(study)
-        .case2
+    statistical_case2(study)
         .blocks
         .iter()
         .map(|b| b.avg_power_mw)
@@ -158,9 +171,9 @@ pub fn table4(study: &CaseStudy, conventional: &FlowResult) -> Table4 {
     let filled = &conventional.patterns.filled[idx];
     let trace = analyzer.trace(filled);
     let power = analyzer.power_of_trace(&trace);
-    let dynir = DynamicAnalysis::new(&study.design.netlist, &study.design.floorplan, study.grid);
-    let map_scap = dynir.analyze(&study.annotation, &trace);
-    let map_cap = dynir.analyze_windowed(&study.annotation, &trace, study.period_ps());
+    let mut session = analyzer.session();
+    let map_scap = session.analyze(&study.annotation, &trace);
+    let map_cap = session.analyze_windowed(&study.annotation, &trace, study.period_ps());
     Table4 {
         pattern_index: idx,
         stw_ps: trace.stw_ps(),

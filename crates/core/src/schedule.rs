@@ -10,10 +10,9 @@
 
 use crate::{CaseStudy, PatternAnalyzer};
 use scap_netlist::BlockId;
-use serde::{Deserialize, Serialize};
 
 /// One block's test requirements.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct BlockTest {
     /// The block under test.
     pub block: BlockId,
@@ -24,7 +23,7 @@ pub struct BlockTest {
 }
 
 /// A set of blocks tested concurrently.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Session {
     /// Blocks running in this session.
     pub members: Vec<BlockTest>,
@@ -44,7 +43,7 @@ impl Session {
 }
 
 /// A full schedule.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Schedule {
     /// Sessions, applied one after another.
     pub sessions: Vec<Session>,

@@ -13,16 +13,13 @@
 //! delay exceeds the domain period as `timing_invalidated` — the paper's
 //! §3.2 false-failure mechanism, complementing the SCAP power screen.
 
-use crate::{CaseStudy, PatternAnalyzer};
+use crate::{experiments, CaseStudy, PatternAnalyzer};
 use scap_dft::PatternSet;
 use scap_exec::Executor;
 use scap_netlist::Netlist;
-use scap_power::{StatisticalAnalysis, StatisticalReport};
+use scap_power::StatisticalReport;
 use scap_sim::FaultList;
 use scap_timing::{scaling, RiskTier, SlackSta};
-
-/// The paper's pessimistic statistical toggle probability (Table 3).
-const TOGGLE_PROBABILITY: f64 = 0.30;
 
 /// Nominal + worst-case-derated STA of one case study.
 ///
@@ -74,12 +71,7 @@ impl NoiseAwareSta {
         // Worst-case regional droop: the statistical solve's per-block
         // worst VDD drop, applied to every cell of the block (the paper's
         // region-level view of the grid).
-        let stat = StatisticalAnalysis::new(n, &study.design.floorplan, study.grid);
-        let statistical = stat.run(
-            &study.annotation,
-            TOGGLE_PROBABILITY,
-            study.period_ps() / 2.0,
-        );
+        let statistical = experiments::statistical_case2(study);
         let gate_drop: Vec<f64> = n
             .gates()
             .iter()
@@ -184,18 +176,22 @@ impl TimingScreen {
     /// Screens every pattern of a set: re-simulates each under its own
     /// IR-drop-scaled delays (`k_factor` times the library `k_volt`) and
     /// flags patterns whose derated launch-to-capture delay exceeds
-    /// `period − setup`. Patterns are screened in parallel; results are
-    /// order-stable and bit-identical at every thread count.
+    /// `period − setup`. Patterns are screened in parallel, one IR-drop
+    /// session per worker; results are order-stable and bit-identical at
+    /// every thread count.
     pub fn run(study: &CaseStudy, patterns: &PatternSet, k_factor: f64) -> Self {
         let analyzer = PatternAnalyzer::new(study);
         let n = &study.design.netlist;
         let k_volt = k_factor * n.library.k_volt_per_volt;
         let budget_ps = study.period_ps() - n.library.flop().setup_ps;
-        let max_derated_delay_ps: Vec<f64> =
-            Executor::new().parallel_map(&patterns.filled, |filled| {
-                let (_, scaled) = analyzer.endpoint_delays_scaled_k(filled, k_volt);
+        let max_derated_delay_ps: Vec<f64> = Executor::new().parallel_map_with(
+            || analyzer.session(),
+            &patterns.filled,
+            |session, filled| {
+                let (_, scaled) = analyzer.endpoint_delays_scaled_in(session, filled, k_volt);
                 scaled.max_delay_ps()
-            });
+            },
+        );
         let invalidated: Vec<bool> = max_derated_delay_ps
             .iter()
             .map(|&d| d > budget_ps)
@@ -316,6 +312,23 @@ mod tests {
         );
         assert_eq!(base.patterns.filled, same.patterns.filled);
         assert_eq!(base.status, same.status);
+    }
+
+    /// The screen's per-worker sessions give exactly what one
+    /// stand-alone call per pattern gives.
+    #[test]
+    fn screen_matches_per_pattern_scaled_delays() {
+        let (s, conv, _) = flows::tests::fixture();
+        let screen = TimingScreen::run(s, &conv.patterns, 40.0);
+        let analyzer = PatternAnalyzer::new(s);
+        for (i, filled) in conv.patterns.filled.iter().enumerate() {
+            let (_, scaled) = analyzer.endpoint_delays_scaled_k(filled, screen.k_volt);
+            assert_eq!(
+                screen.max_derated_delay_ps[i].to_bits(),
+                scaled.max_delay_ps().to_bits(),
+                "pattern {i}"
+            );
+        }
     }
 
     #[test]

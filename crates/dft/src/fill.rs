@@ -1,6 +1,5 @@
 //! Don't-care fill policies (the TetraMAX `-fill` options, paper §3.1).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How unspecified scan-load bits are filled before pattern application.
@@ -14,7 +13,7 @@ use std::fmt;
 /// * [`FillPolicy::One`] — symmetric alternative,
 /// * [`FillPolicy::Adjacent`] — each X takes the value of the nearest
 ///   preceding care bit in its scan chain; minimizes *shift* switching.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FillPolicy {
     /// Pseudorandom fill (conventional ATPG).
     Random,

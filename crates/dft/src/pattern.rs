@@ -3,11 +3,10 @@
 use crate::FillPolicy;
 use rand::Rng;
 use scap_netlist::{Logic, Netlist};
-use serde::{Deserialize, Serialize};
 
 /// A launch-off-capture test pattern before fill: a scan load (one value
 /// per flop, X = don't-care) plus held primary-input values.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TestPattern {
     /// Scan-load value per flop (by [`FlopId`](scap_netlist::FlopId) index).
     pub load: Vec<Logic>,
@@ -129,7 +128,7 @@ impl TestPattern {
 }
 
 /// A fully-specified pattern (after fill).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FilledPattern {
     /// Scan-load bit per flop.
     pub load: Vec<bool>,
@@ -191,7 +190,7 @@ impl PatternBatch {
 }
 
 /// An ordered collection of filled patterns with their pre-fill sources.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct PatternSet {
     /// The patterns as generated (with X bits), parallel to `filled`.
     pub source: Vec<TestPattern>,

@@ -12,8 +12,6 @@
 //!   to the serial loop** regardless of thread count or scheduling.
 //! * [`Executor::parallel_map_with`] — the same, with one mutable scratch
 //!   state per worker (reusable solver/simulation buffers).
-//! * [`join2`] / [`Executor::join2`] — run two independent jobs
-//!   concurrently (the VDD and VSS grid solves).
 //!
 //! # Determinism contract
 //!
@@ -206,26 +204,6 @@ impl Executor {
             .map(|slot| slot.expect("every index claimed exactly once"))
             .collect()
     }
-
-    /// Runs two independent jobs, concurrently when this executor has
-    /// more than one worker, and returns both results.
-    pub fn join2<A, B, RA, RB>(&self, a: A, b: B) -> (RA, RB)
-    where
-        A: FnOnce() -> RA + Send,
-        B: FnOnce() -> RB + Send,
-        RA: Send,
-        RB: Send,
-    {
-        if self.threads <= 1 {
-            (a(), b())
-        } else {
-            std::thread::scope(|scope| {
-                let handle = scope.spawn(b);
-                let ra = a();
-                (ra, handle.join().expect("join2 worker panicked"))
-            })
-        }
-    }
 }
 
 /// Splits `0..n` into at most `shards` contiguous near-equal ranges
@@ -298,17 +276,6 @@ impl Backoff {
     }
 }
 
-/// Runs two independent jobs on the default executor.
-pub fn join2<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    Executor::new().join2(a, b)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,16 +320,6 @@ mod tests {
         );
         let serial: Vec<usize> = items.iter().map(|&x| x + x % 7).collect();
         assert_eq!(out, serial);
-    }
-
-    #[test]
-    fn join2_returns_both_results() {
-        for threads in [1, 2] {
-            let exec = Executor::with_threads(threads);
-            let (a, b) = exec.join2(|| 2 + 2, || "ok".to_string());
-            assert_eq!(a, 4);
-            assert_eq!(b, "ok");
-        }
     }
 
     #[test]

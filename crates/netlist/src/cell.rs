@@ -1,7 +1,6 @@
 //! Combinational cell kinds and their evaluation semantics.
 
 use crate::Logic;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The function of a combinational standard cell.
@@ -18,7 +17,7 @@ use std::fmt;
 /// assert_eq!(CellKind::Mux2.eval(&[Logic::One, Logic::Zero, Logic::One]), Logic::One);
 /// assert_eq!(CellKind::Nor2.num_inputs(), 2);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum CellKind {
     Buf,

@@ -6,10 +6,9 @@
 //! nodes.
 
 use crate::{BlockId, FlopId, GateId, Netlist};
-use serde::{Deserialize, Serialize};
 
 /// A point on the die, in microns.
-#[derive(Clone, Copy, Debug, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub struct Point {
     /// X coordinate, µm.
     pub x: f64,
@@ -32,7 +31,7 @@ impl Point {
 }
 
 /// An axis-aligned rectangle on the die, in microns.
-#[derive(Clone, Copy, Debug, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub struct Rect {
     /// Lower-left corner.
     pub min: Point,
@@ -83,7 +82,7 @@ impl Rect {
 }
 
 /// The die outline.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Die {
     /// Die boundary rectangle.
     pub outline: Rect,
@@ -99,7 +98,7 @@ impl Die {
 }
 
 /// Per-instance placement coordinates.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Placement {
     gate_xy: Vec<Point>,
     flop_xy: Vec<Point>,
@@ -162,7 +161,7 @@ impl Placement {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Floorplan {
     /// The die outline.
     pub die: Die,

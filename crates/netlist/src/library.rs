@@ -6,10 +6,9 @@
 //! delay), so the absolute values need only be plausible for the node.
 
 use crate::cell::{CellKind, ALL_KINDS};
-use serde::{Deserialize, Serialize};
 
 /// Electrical and physical parameters of one combinational cell.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CellParams {
     /// Capacitance of each input pin, in femtofarads.
     pub input_cap_ff: f64,
@@ -27,7 +26,7 @@ pub struct CellParams {
 }
 
 /// Parameters of the scan flip-flop (SDFFX1-class cell).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FlopParams {
     /// D-pin (and SI-pin) capacitance, fF.
     pub input_cap_ff: f64,
@@ -56,7 +55,7 @@ pub struct FlopParams {
 /// assert_eq!(lib.vdd, 1.8);
 /// assert!(lib.cell(CellKind::Nand2).input_cap_ff > 0.0);
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Library {
     /// Library name.
     pub name: String,

@@ -1,10 +1,9 @@
 //! The flat gate-level netlist data structure.
 
 use crate::{BlockId, CellKind, ClockId, FlopId, GateId, Library, NetId};
-use serde::{Deserialize, Serialize};
 
 /// What drives a net.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NetSource {
     /// Driven by a combinational gate output.
     Gate(GateId),
@@ -17,7 +16,7 @@ pub enum NetSource {
 }
 
 /// A single-driver wire.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Net {
     /// Hierarchical net name.
     pub name: String,
@@ -26,7 +25,7 @@ pub struct Net {
 }
 
 /// A combinational gate instance.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Gate {
     /// Cell function.
     pub kind: CellKind,
@@ -39,7 +38,7 @@ pub struct Gate {
 }
 
 /// Active clock edge of a flop.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ClockEdge {
     /// Rising-edge triggered (the common case).
     Rising,
@@ -49,7 +48,7 @@ pub enum ClockEdge {
 }
 
 /// Scan configuration of a flop, assigned by scan insertion.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ScanRole {
     /// Which scan chain the cell is stitched into.
     pub chain: u16,
@@ -58,7 +57,7 @@ pub struct ScanRole {
 }
 
 /// A (scan-able) D flip-flop instance.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Flop {
     /// Instance name.
     pub name: String,
@@ -77,14 +76,14 @@ pub struct Flop {
 }
 
 /// A hierarchical block (the paper's B1…B6).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Block {
     /// Block name, e.g. `"B5"`.
     pub name: String,
 }
 
 /// A clock domain.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ClockDomain {
     /// Domain name, e.g. `"clka"`.
     pub name: String,
@@ -104,7 +103,7 @@ impl ClockDomain {
 ///
 /// Construct via [`NetlistBuilder`](crate::NetlistBuilder); the structure is
 /// immutable afterwards except for scan-role annotation.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Netlist {
     /// Design name.
     pub name: String,

@@ -1,6 +1,5 @@
 //! Three-valued logic used across simulation and test generation.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Not;
 
@@ -18,7 +17,7 @@ use std::ops::Not;
 /// assert_eq!(Logic::One & Logic::X, Logic::X);
 /// assert_eq!(!Logic::X, Logic::X);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Logic {
     /// Logic low.
     Zero,

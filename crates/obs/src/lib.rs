@@ -2,9 +2,9 @@
 //!
 //! The SCAP pipeline's wall-clock numbers (`BENCH_evaluation.json`) say
 //! *where* the time goes only at stage granularity; this crate collects
-//! the counters underneath — CG iterations, warm-start hits, fault-sim
-//! detections, patterns screened, work-stealing chunk claims — so a slow
-//! stage can be attributed to its actual kernel. Like `scap-exec` it is
+//! the counters underneath — CG iterations, fault-sim detections,
+//! patterns screened, work-stealing chunk claims — so a slow stage can
+//! be attributed to its actual kernel. Like `scap-exec` it is
 //! std-only (the build environment is offline; see `vendor/`).
 //!
 //! # Model
@@ -27,11 +27,7 @@
 //!
 //! # Enabling
 //!
-//! Collection is **off by default**. Turn it on with [`set_enabled`], or
-//! install a [`Sink`] with [`install_sink`] (which enables collection as
-//! a side effect and additionally receives every span close, e.g. for
-//! live tracing). The sink lives in a `OnceLock`: first install wins and
-//! stays for the life of the process.
+//! Collection is **off by default**. Turn it on with [`set_enabled`].
 //!
 //! # Reading
 //!
@@ -74,8 +70,9 @@
 //!   remaining-fault working set across rounds.
 //! * `atpg.*` — spans around the PODEM primary/secondary passes and the
 //!   per-pattern drop simulation.
-//! * `cg.*` — power-grid conjugate-gradient solves, with warm-start
-//!   hit/miss split and residual float gauges.
+//! * `cg.*` — power-grid conjugate-gradient solves (`cg.solves`,
+//!   `cg.iterations`; every solve is a cold start) and residual float
+//!   gauges.
 //! * `exec.*` — the work-stealing executor (`exec.effective_threads` is
 //!   the high-water worker count `evaluation.rs` reports).
 //! * `sta.*` — noise-aware static timing analysis. `sta.runs` /
@@ -115,25 +112,6 @@ pub fn set_enabled(on: bool) {
 #[inline]
 pub fn is_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
-}
-
-/// Receives span-close events when installed (live tracing / logging).
-pub trait Sink: Send + Sync {
-    /// Called once per [`Span`] drop with the span's wall-clock.
-    fn span_close(&self, name: &'static str, wall_ns: u64);
-}
-
-static SINK: OnceLock<&'static dyn Sink> = OnceLock::new();
-
-/// Installs the process-wide sink and enables collection. First install
-/// wins (the sink lives in a `OnceLock`); returns whether this call
-/// installed it.
-pub fn install_sink(sink: &'static dyn Sink) -> bool {
-    let installed = SINK.set(sink).is_ok();
-    if installed {
-        set_enabled(true);
-    }
-    installed
 }
 
 // ---------------------------------------------------------------------
@@ -307,9 +285,6 @@ impl Drop for Span {
         if let Some((stats, start)) = self.active.take() {
             let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
             stats.record(ns);
-            if let Some(sink) = SINK.get() {
-                sink.span_close(stats.name(), ns);
-            }
         }
     }
 }
@@ -757,31 +732,5 @@ mod tests {
         set_enabled(false);
         let empty = render(&Snapshot::default());
         assert!(empty.contains("no metrics recorded"));
-    }
-
-    #[test]
-    fn sink_receives_span_closes() {
-        struct Recorder {
-            hits: AtomicU64,
-        }
-        impl Sink for Recorder {
-            fn span_close(&self, _name: &'static str, _wall_ns: u64) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let _guard = enabled_lock();
-        static RECORDER: Recorder = Recorder {
-            hits: AtomicU64::new(0),
-        };
-        // First install wins; either way collection is enabled afterwards
-        // only if this call installed it — enable explicitly for the test.
-        let _ = install_sink(&RECORDER);
-        set_enabled(true);
-        let before = RECORDER.hits.load(Ordering::Relaxed);
-        {
-            let _span = span!("test.sink_span");
-        }
-        assert!(RECORDER.hits.load(Ordering::Relaxed) > before);
-        set_enabled(false);
     }
 }

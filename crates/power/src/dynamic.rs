@@ -11,10 +11,9 @@ use crate::{GridConfig, GridSolver, PowerGrid};
 use scap_netlist::{BlockId, Floorplan, FlopId, GateId, NetSource, Netlist, Point};
 use scap_sim::ToggleTrace;
 use scap_timing::DelayAnnotation;
-use serde::{Deserialize, Serialize};
 
 /// The solved IR-drop map of one pattern.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct IrDropMap {
     /// Per-mesh-node VDD drop, V.
     pub node_drop_vdd_v: Vec<f64>,
@@ -142,7 +141,9 @@ impl IrDropMap {
     }
 }
 
-/// Dynamic IR-drop analyzer bound to a design.
+/// Dynamic IR-drop analyzer bound to a design: the mesh, assembled once
+/// in [`DynamicAnalysis::new`]. Patterns are solved through the
+/// [`DynSession`]s it hands out.
 ///
 /// # Example
 ///
@@ -153,7 +154,7 @@ impl IrDropMap {
 /// # fn demo(netlist: &Netlist, fp: &Floorplan, ann: &DelayAnnotation, trace: &ToggleTrace) {
 /// use scap_power::{DynamicAnalysis, GridConfig};
 /// let dyn_ir = DynamicAnalysis::new(netlist, fp, GridConfig::default());
-/// let map = dyn_ir.analyze(ann, trace);
+/// let map = dyn_ir.session().analyze(ann, trace);
 /// println!("worst VDD drop {:.3} V", map.worst_drop_vdd());
 /// print!("{}", map.render_vdd_map(netlist.library.vdd));
 /// # }
@@ -181,32 +182,9 @@ impl<'a> DynamicAnalysis<'a> {
         &self.grid
     }
 
-    /// Solves the IR-drop of one pattern's trace, averaging the switching
-    /// charge over the pattern's STW (the paper's SCAP model).
-    pub fn analyze(&self, annotation: &DelayAnnotation, trace: &ToggleTrace) -> IrDropMap {
-        self.analyze_windowed(annotation, trace, trace.stw_ps())
-    }
-
-    /// Like [`DynamicAnalysis::analyze`] but averages the charge over an
-    /// explicit window — pass the full tester cycle to reproduce the CAP
-    /// model's (underestimated) IR-drop of the paper's Table 4.
-    pub fn analyze_windowed(
-        &self,
-        annotation: &DelayAnnotation,
-        trace: &ToggleTrace,
-        window_ps: f64,
-    ) -> IrDropMap {
-        let (node_vdd, node_vss) = self.rail_currents(annotation, trace, window_ps);
-        // The two rail systems are independent: solve them concurrently.
-        let (node_drop_vdd_v, node_drop_vss_v) =
-            scap_exec::join2(|| self.grid.solve(&node_vdd), || self.grid.solve(&node_vss));
-        self.assemble_map(node_drop_vdd_v, node_drop_vss_v)
-    }
-
-    /// A reusable per-thread analysis context: keeps one [`GridSolver`]
-    /// per rail alive across patterns, so back-to-back
-    /// [`DynSession::analyze`] calls skip the per-solve allocations.
-    /// Results are bit-identical to [`DynamicAnalysis::analyze`].
+    /// A per-thread analysis context: one [`GridSolver`] per rail, kept
+    /// alive across patterns so back-to-back [`DynSession::analyze`]
+    /// calls skip the per-solve allocations.
     pub fn session(&self) -> DynSession<'_, 'a> {
         DynSession {
             analysis: self,
@@ -314,10 +292,9 @@ impl<'a> DynamicAnalysis<'a> {
 /// A per-thread dynamic-analysis context with reusable rail solvers.
 ///
 /// Created by [`DynamicAnalysis::session`]. The solvers cold-start every
-/// solve (only allocations are reused), so a session's results are
-/// bit-identical to the one-shot [`DynamicAnalysis::analyze`] path no
-/// matter how patterns are distributed across sessions — the property the
-/// parallel per-pattern loops rely on.
+/// solve (only allocations are reused), so a result never depends on
+/// which session solved it or what that session solved before — the
+/// property the parallel per-pattern loops rely on.
 #[derive(Debug)]
 pub struct DynSession<'d, 'a> {
     analysis: &'d DynamicAnalysis<'a>,
@@ -326,12 +303,15 @@ pub struct DynSession<'d, 'a> {
 }
 
 impl DynSession<'_, '_> {
-    /// [`DynamicAnalysis::analyze`] with reused solver buffers.
+    /// Solves the IR-drop of one pattern's trace, averaging the switching
+    /// charge over the pattern's STW (the paper's SCAP model).
     pub fn analyze(&mut self, annotation: &DelayAnnotation, trace: &ToggleTrace) -> IrDropMap {
         self.analyze_windowed(annotation, trace, trace.stw_ps())
     }
 
-    /// [`DynamicAnalysis::analyze_windowed`] with reused solver buffers.
+    /// Like [`DynSession::analyze`] but averages the charge over an
+    /// explicit window — pass the full tester cycle to reproduce the CAP
+    /// model's (underestimated) IR-drop of the paper's Table 4.
     pub fn analyze_windowed(
         &mut self,
         annotation: &DelayAnnotation,
@@ -407,7 +387,7 @@ mod tests {
             net: y,
             rising: true,
         });
-        let m1 = dynir.analyze(&ann, &t1);
+        let m1 = dynir.session().analyze(&ann, &t1);
         let mut t9 = ToggleTrace::default();
         for k in 0..9 {
             t9.events.push(ToggleEvent {
@@ -416,7 +396,7 @@ mod tests {
                 rising: k % 2 == 0,
             });
         }
-        let m9 = dynir.analyze(&ann, &t9);
+        let m9 = dynir.session().analyze(&ann, &t9);
         assert!(m9.worst_drop_vdd() > m1.worst_drop_vdd());
     }
 
@@ -432,7 +412,9 @@ mod tests {
                 ..GridConfig::default()
             },
         );
-        let m = dynir.analyze(&ann, &trace_on(NetId::new(1), 1, true));
+        let m = dynir
+            .session()
+            .analyze(&ann, &trace_on(NetId::new(1), 1, true));
         assert!(m.worst_drop_vdd() > 0.0);
         assert_eq!(m.worst_drop_vss(), 0.0);
         assert!(m.gate_drop_total(GateId::new(0)) > 0.0);
@@ -447,11 +429,15 @@ mod tests {
         let (nc, fc) = single_gate_design(Point::new(500.0, 500.0));
         let annc = DelayAnnotation::extract(&nc, &fc);
         let dc = DynamicAnalysis::new(&nc, &fc, cfg);
-        let mc = dc.analyze(&annc, &trace_on(NetId::new(1), 1, true));
+        let mc = dc
+            .session()
+            .analyze(&annc, &trace_on(NetId::new(1), 1, true));
         let (ne, fe) = single_gate_design(Point::new(15.0, 15.0));
         let anne = DelayAnnotation::extract(&ne, &fe);
         let de = DynamicAnalysis::new(&ne, &fe, cfg);
-        let me = de.analyze(&anne, &trace_on(NetId::new(1), 1, true));
+        let me = de
+            .session()
+            .analyze(&anne, &trace_on(NetId::new(1), 1, true));
         assert!(mc.worst_drop_vdd() > me.worst_drop_vdd());
     }
 
@@ -467,7 +453,9 @@ mod tests {
                 ..GridConfig::default()
             },
         );
-        let m = dynir.analyze(&ann, &trace_on(NetId::new(1), 1, true));
+        let m = dynir
+            .session()
+            .analyze(&ann, &trace_on(NetId::new(1), 1, true));
         let b = scap_netlist::BlockId::new(0);
         assert!(m.worst_block_drop_vdd(&n, b) > 0.0);
         assert_eq!(m.worst_block_drop_vss(&n, b), 0.0);
@@ -476,8 +464,8 @@ mod tests {
         assert!(m.red_fraction(0.0) <= 1.0);
     }
 
-    /// A session (reused solver buffers) reproduces the one-shot path
-    /// bit for bit, across several patterns.
+    /// A session reused across several patterns reproduces a fresh
+    /// session per pattern bit for bit.
     #[test]
     fn session_matches_one_shot_analysis_exactly() {
         let (n, fp) = single_gate_design(Point::new(500.0, 500.0));
@@ -493,7 +481,7 @@ mod tests {
         let mut session = dynir.session();
         for toggles in [1usize, 4, 9] {
             let t = trace_on(NetId::new(1), toggles, true);
-            let one_shot = dynir.analyze(&ann, &t);
+            let one_shot = dynir.session().analyze(&ann, &t);
             let via_session = session.analyze(&ann, &t);
             for (a, b) in one_shot
                 .node_drop_vdd_v
@@ -516,7 +504,7 @@ mod tests {
         let (n, fp) = single_gate_design(Point::new(500.0, 500.0));
         let ann = DelayAnnotation::extract(&n, &fp);
         let dynir = DynamicAnalysis::new(&n, &fp, GridConfig::default());
-        let m = dynir.analyze(&ann, &ToggleTrace::default());
+        let m = dynir.session().analyze(&ann, &ToggleTrace::default());
         assert_eq!(m.worst_drop_vdd(), 0.0);
         assert_eq!(m.worst_drop_vss(), 0.0);
         assert_eq!(m.red_fraction(0.18), 0.0);

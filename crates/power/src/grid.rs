@@ -2,11 +2,10 @@
 
 use crate::solve::{CgScratch, ReducedSystem};
 use scap_netlist::{Floorplan, FlopId, GateId, Netlist, Point};
-use serde::{Deserialize, Serialize};
 
 /// Configuration of one power mesh (used for both the VDD and VSS
 /// networks, which the paper's chip routes symmetrically).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GridConfig {
     /// Mesh nodes per side (the grid is `nodes_per_side²`).
     pub nodes_per_side: usize,
@@ -29,9 +28,9 @@ impl Default for GridConfig {
 
 /// A resistive power mesh bound to a die outline.
 ///
-/// The same structure serves the VDD and VSS networks: `solve` maps cell
-/// currents to the voltage *drop* at every node (for VSS, the drop is the
-/// ground bounce).
+/// The same structure serves the VDD and VSS networks: its
+/// [`GridSolver`] maps cell currents to the voltage *drop* at every node
+/// (for VSS, the drop is the ground bounce).
 ///
 /// # Example
 ///
@@ -42,7 +41,7 @@ impl Default for GridConfig {
 /// let grid = PowerGrid::new(Die::square(1000.0), GridConfig::default());
 /// let mut currents = vec![0.0; grid.num_nodes()];
 /// currents[grid.node_of(Point::new(500.0, 500.0))] = 0.05; // 50 mA at center
-/// let drops = grid.solve(&currents);
+/// let drops = grid.solver().solve(&currents);
 /// assert!(drops.iter().cloned().fold(0.0, f64::max) > 0.0);
 /// ```
 #[derive(Clone, Debug)]
@@ -161,22 +160,13 @@ impl PowerGrid {
         mesh_branches(&self.config)
     }
 
-    /// Solves the mesh for the given per-node current draw (A), returning
-    /// the voltage drop (V) at every node.
-    pub fn solve(&self, node_currents: &[f64]) -> Vec<f64> {
-        self.system.solve(node_currents)
-    }
-
-    /// A reusable solver context over this mesh: keeps the CG work
-    /// vectors (and optionally the previous solution) alive across
-    /// solves, eliminating the per-solve allocations of
-    /// [`PowerGrid::solve`]. Create one per thread in hot loops.
+    /// A solver over this mesh, the one way to solve it. It keeps the CG
+    /// work vectors alive across solves; create one per thread in hot
+    /// loops.
     pub fn solver(&self) -> GridSolver<'_> {
         GridSolver {
             system: &self.system,
-            x: Vec::new(),
-            scratch: CgScratch::new(),
-            last_iterations: 0,
+            scratch: CgScratch::default(),
         }
     }
 
@@ -230,47 +220,22 @@ fn mesh_branches(config: &GridConfig) -> Vec<(u32, u32, f64)> {
 }
 
 /// A solver context bound to one [`PowerGrid`], holding reusable CG work
-/// vectors and the previous solution for warm starts.
+/// vectors.
 ///
-/// [`GridSolver::solve`] is bit-identical to [`PowerGrid::solve`] — only
-/// the allocations are reused, not any numeric state — so it is safe in
-/// deterministic parallel loops (one solver per worker).
-/// [`GridSolver::solve_warm`] additionally seeds CG from the previous
-/// solution: it converges to the same tolerance but through different
-/// iterates, so results match cold start only within the solve tolerance
-/// (1e-8 relative residual), and depend on solve order. Use it only in
-/// explicitly serial contexts (e.g. stepping time windows of one
-/// pattern).
+/// Every solve is a cold start: only allocations carry over, never
+/// values, so a result depends on its right-hand side alone. That makes
+/// one solver per worker safe in deterministic parallel loops.
 #[derive(Clone, Debug)]
 pub struct GridSolver<'g> {
     system: &'g ReducedSystem,
-    x: Vec<f64>,
     scratch: CgScratch,
-    last_iterations: usize,
 }
 
 impl GridSolver<'_> {
-    /// Cold-start solve with reused buffers; bit-identical to
-    /// [`PowerGrid::solve`].
+    /// Solves the mesh for the given per-node current draw (A), returning
+    /// the voltage drop (V) at every node.
     pub fn solve(&mut self, node_currents: &[f64]) -> Vec<f64> {
-        self.last_iterations =
-            self.system
-                .solve_into(node_currents, &mut self.x, false, &mut self.scratch);
-        self.system.scatter(&self.x)
-    }
-
-    /// Warm-start solve from the previous solution (the first call is a
-    /// cold start). See the type docs for the determinism caveat.
-    pub fn solve_warm(&mut self, node_currents: &[f64]) -> Vec<f64> {
-        self.last_iterations =
-            self.system
-                .solve_into(node_currents, &mut self.x, true, &mut self.scratch);
-        self.system.scatter(&self.x)
-    }
-
-    /// CG iterations spent by the most recent solve.
-    pub fn last_iterations(&self) -> usize {
-        self.last_iterations
+        self.system.solve_into(node_currents, &mut self.scratch)
     }
 }
 
@@ -288,7 +253,7 @@ mod tests {
         let g = grid();
         // Uniform current everywhere.
         let currents = vec![1e-4; g.num_nodes()];
-        let drops = g.solve(&currents);
+        let drops = g.solver().solve(&currents);
         let center = drops[g.node_of(Point::new(500.0, 500.0))];
         let corner_area = drops[g.node_of(Point::new(40.0, 40.0))];
         assert!(
@@ -301,7 +266,7 @@ mod tests {
     fn pads_have_zero_drop() {
         let g = grid();
         let currents = vec![1e-4; g.num_nodes()];
-        let drops = g.solve(&currents);
+        let drops = g.solver().solve(&currents);
         let mut pad_count = 0;
         for (i, d) in drops.iter().enumerate() {
             if g.is_pad(i) {
@@ -328,50 +293,22 @@ mod tests {
         assert_eq!(g.node_of(Point::new(2000.0, 2000.0)), g.num_nodes() - 1);
     }
 
-    /// The reusable solver's cold-start path returns exactly what
-    /// `PowerGrid::solve` returns, across repeated solves with different
-    /// right-hand sides.
+    /// One solver reused across many right-hand sides returns exactly
+    /// what a fresh solver returns for each.
     #[test]
     fn grid_solver_cold_start_is_bit_identical() {
         let g = grid();
         let mut solver = g.solver();
-        for case in 0..3 {
+        for case in 0..8 {
             let currents: Vec<f64> = (0..g.num_nodes())
                 .map(|i| 1e-5 * ((i + case) % 11) as f64)
                 .collect();
-            let reference = g.solve(&currents);
+            let fresh = g.solver().solve(&currents);
             let reused = solver.solve(&currents);
-            for (a, b) in reused.iter().zip(&reference) {
+            for (a, b) in reused.iter().zip(&fresh) {
                 assert_eq!(a.to_bits(), b.to_bits(), "case {case}");
             }
         }
-    }
-
-    /// Warm-starting across similar right-hand sides stays within the
-    /// solve tolerance of cold start and spends fewer (or equal) CG
-    /// iterations.
-    #[test]
-    fn grid_solver_warm_start_tracks_cold_start() {
-        let g = grid();
-        let base: Vec<f64> = (0..g.num_nodes()).map(|i| 1e-5 * (i % 7) as f64).collect();
-        let mut warm_solver = g.solver();
-        warm_solver.solve(&base);
-        let cold_reference = g.solver().solve(&base);
-        let scale = cold_reference.iter().cloned().fold(0.0, f64::max);
-
-        let perturbed: Vec<f64> = base.iter().map(|v| v * 1.02).collect();
-        let warm = warm_solver.solve_warm(&perturbed);
-        let warm_iters = warm_solver.last_iterations();
-        let mut cold_solver = g.solver();
-        let cold = cold_solver.solve(&perturbed);
-        let cold_iters = cold_solver.last_iterations();
-        for (w, c) in warm.iter().zip(&cold) {
-            assert!(
-                (w - c).abs() <= 1e-6 * scale.max(1e-12),
-                "warm {w} cold {c}"
-            );
-        }
-        assert!(warm_iters <= cold_iters, "{warm_iters} vs {cold_iters}");
     }
 
     #[test]
@@ -386,8 +323,8 @@ mod tests {
             },
         );
         let currents = vec![1e-4; g1.num_nodes()];
-        let d1 = g1.solve(&currents);
-        let d2 = g2.solve(&currents);
+        let d1 = g1.solver().solve(&currents);
+        let d2 = g2.solver().solve(&currents);
         let m1: f64 = d1.iter().cloned().fold(0.0, f64::max);
         let m2: f64 = d2.iter().cloned().fold(0.0, f64::max);
         assert!((m1 - 2.0 * m2).abs() < 0.05 * m1, "{m1} vs {m2}");

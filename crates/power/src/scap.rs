@@ -18,10 +18,9 @@
 use scap_netlist::{BlockId, NetSource, Netlist};
 use scap_sim::ToggleTrace;
 use scap_timing::DelayAnnotation;
-use serde::{Deserialize, Serialize};
 
 /// Power accounting for one block (or the whole chip).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct BlockPower {
     /// Energy drawn from VDD during the window, fJ.
     pub energy_vdd_fj: f64,
@@ -59,7 +58,7 @@ impl BlockPower {
 }
 
 /// Per-pattern CAP/SCAP report.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PatternPower {
     /// Switching time window of the pattern, ps.
     pub stw_ps: f64,

@@ -4,8 +4,8 @@
 //! assembly (triplets → reduced CSR) is split out into [`ReducedSystem`],
 //! built once per [`crate::PowerGrid`] and reused for every right-hand
 //! side. Per-solve vector allocations live in [`CgScratch`] so hot loops
-//! (one solve per pattern) can recycle them, and a warm-start entry point
-//! seeds the iteration from a previous solution.
+//! (one solve per pattern) can recycle them. Every solve starts from
+//! zero, so its result depends on the right-hand side alone.
 
 /// A sparse symmetric positive-definite matrix in CSR-lite form, built by
 /// the grid module.
@@ -37,54 +37,35 @@ impl SparseSpd {
     }
 }
 
-/// Reusable conjugate-gradient work vectors. One instance per solver
-/// context; every solve resizes them to the system at hand.
+/// Reusable conjugate-gradient vectors: the right-hand side `b`, the
+/// solution `x` and the work vectors. One instance per solver context;
+/// every solve resizes them to the system at hand.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct CgScratch {
     b: Vec<f64>,
+    x: Vec<f64>,
     r: Vec<f64>,
     z: Vec<f64>,
     p: Vec<f64>,
     ap: Vec<f64>,
 }
 
-impl CgScratch {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// Solves `A·x = b` for SPD `A` by preconditioned conjugate gradient,
-/// starting from the value of `x` (pass zeros for the classic cold
-/// start).
+/// reading `b` from `scratch.b` and leaving `x` in `scratch.x`. Starts
+/// from `x = 0`.
 ///
 /// Iterates until the residual 2-norm falls below `tol · max(‖b‖, ε)` or
-/// `max_iter` iterations, and returns the iteration count. The stopping
-/// criterion does not depend on the starting point, so a warm start
-/// converges to the same tolerance as a cold start — typically in fewer
-/// iterations, but to a numerically different (equally valid) iterate.
-pub(crate) fn solve_spd_into(
-    a: &SparseSpd,
-    b: &[f64],
-    x: &mut [f64],
-    tol: f64,
-    max_iter: usize,
-    scratch: &mut CgScratch,
-) -> usize {
+/// `max_iter` iterations.
+fn solve_spd(a: &SparseSpd, tol: f64, max_iter: usize, scratch: &mut CgScratch) {
     let n = a.n();
+    let b = &scratch.b;
     assert_eq!(b.len(), n);
-    assert_eq!(x.len(), n);
+    let x = &mut scratch.x;
+    x.clear();
+    x.resize(n, 0.0);
     let r = &mut scratch.r;
     r.clear();
     r.extend_from_slice(b);
-    if x.iter().any(|&v| v != 0.0) {
-        // Warm start: r = b − A·x.
-        scratch.ap.resize(n, 0.0);
-        a.mul(x, &mut scratch.ap);
-        for (ri, ai) in r.iter_mut().zip(&scratch.ap) {
-            *ri -= ai;
-        }
-    }
     let z = &mut scratch.z;
     z.clear();
     z.extend(r.iter().zip(&a.diag).map(|(ri, di)| ri / di.max(1e-30)));
@@ -130,7 +111,6 @@ pub(crate) fn solve_spd_into(
         scap_obs::float_gauge!("cg.residual.last").set(res);
         scap_obs::float_gauge!("cg.residual.max").set_max(res);
     }
-    iterations
 }
 
 /// A grid system reduced over its Dirichlet (pad) nodes: the free-node
@@ -224,40 +204,13 @@ impl ReducedSystem {
         (m.n(), t)
     }
 
-    /// Cold-start solve with a fresh scratch: the reference path. Results
-    /// are bit-identical to assembling and solving from scratch.
-    pub(crate) fn solve(&self, injection: &[f64]) -> Vec<f64> {
-        let mut x = Vec::new();
-        self.solve_into(injection, &mut x, false, &mut CgScratch::new());
-        self.scatter(&x)
-    }
-
-    /// Solves into a caller-owned reduced solution vector `x`, reusing
-    /// `scratch`. With `warm = false`, `x` is reset to zero first and the
-    /// result is bit-identical to [`ReducedSystem::solve`]; with
-    /// `warm = true`, the iteration starts from `x`'s current content
-    /// (previous solution). Returns the iteration count.
-    pub(crate) fn solve_into(
-        &self,
-        injection: &[f64],
-        x: &mut Vec<f64>,
-        warm: bool,
-        scratch: &mut CgScratch,
-    ) -> usize {
+    /// Solves for the per-node current `injection` (A) and returns the
+    /// voltage drop (V) at every grid node, 0 at pads. Only `scratch`'s
+    /// allocations carry over between calls, never its values, so the
+    /// result is the same whatever was solved before.
+    pub(crate) fn solve_into(&self, injection: &[f64], scratch: &mut CgScratch) -> Vec<f64> {
         assert_eq!(injection.len(), self.num_nodes);
         let nf = self.num_free();
-        // Resolve both counters up front so each registers on the first
-        // solve — an all-cold-start run still reports `cg.warm_hits: 0`
-        // in snapshots instead of omitting the counter entirely.
-        let warm_hits = scap_obs::counter!("cg.warm_hits");
-        let warm_misses = scap_obs::counter!("cg.warm_misses");
-        if !warm || x.len() != nf {
-            warm_misses.incr();
-            x.clear();
-            x.resize(nf, 0.0);
-        } else {
-            warm_hits.incr();
-        }
         let b = &mut scratch.b;
         b.clear();
         b.resize(nf, 0.0);
@@ -266,14 +219,12 @@ impl ReducedSystem {
                 b[self.index[i] as usize] = injection[i];
             }
         }
-        let rhs = std::mem::take(&mut scratch.b);
-        let iters = solve_spd_into(&self.matrix, &rhs, x, 1e-8, 4 * nf + 64, scratch);
-        scratch.b = rhs;
-        iters
+        solve_spd(&self.matrix, 1e-8, 4 * nf + 64, scratch);
+        self.scatter(&scratch.x)
     }
 
     /// Expands a reduced solution to the full node space (0 at pads).
-    pub(crate) fn scatter(&self, x: &[f64]) -> Vec<f64> {
+    fn scatter(&self, x: &[f64]) -> Vec<f64> {
         let mut out = vec![0.0; self.num_nodes];
         for i in 0..self.num_nodes {
             if self.index[i] != u32::MAX {
@@ -284,26 +235,6 @@ impl ReducedSystem {
     }
 }
 
-/// Public convenience wrapper: solves a Laplacian-style SPD system given in
-/// triplet form `(i, j, g)` of branch conductances plus Dirichlet nodes
-/// pinned to zero. Used directly by tests and available for custom grids.
-///
-/// `num_nodes` is the total node count; `pinned[i] = true` marks nodes held
-/// at 0 (pads). `injection[i]` is the current drawn at node `i` (A).
-/// Returns the voltage drop at every node (0 at pads).
-///
-/// # Panics
-///
-/// Panics if slice lengths disagree or no node is pinned.
-pub fn solve_cg(
-    num_nodes: usize,
-    branches: &[(u32, u32, f64)],
-    pinned: &[bool],
-    injection: &[f64],
-) -> Vec<f64> {
-    ReducedSystem::build(num_nodes, branches, pinned).solve(injection)
-}
-
 fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
@@ -312,12 +243,23 @@ fn dot(a: &[f64], b: &[f64]) -> f64 {
 mod tests {
     use super::*;
 
+    /// Assembles a system and solves it once with a fresh scratch.
+    fn solve(
+        num_nodes: usize,
+        branches: &[(u32, u32, f64)],
+        pinned: &[bool],
+        injection: &[f64],
+    ) -> Vec<f64> {
+        ReducedSystem::build(num_nodes, branches, pinned)
+            .solve_into(injection, &mut CgScratch::default())
+    }
+
     /// Two resistors in series: pad -- R -- n1 -- R -- n2, draw I at n2.
     /// Drop at n1 = I·R, at n2 = 2·I·R.
     #[test]
     fn series_resistor_ladder() {
         let g = 1.0 / 10.0; // 10 Ω branches
-        let drops = solve_cg(
+        let drops = solve(
             3,
             &[(0, 1, g), (1, 2, g)],
             &[true, false, false],
@@ -333,7 +275,7 @@ mod tests {
     #[test]
     fn parallel_paths_halve_the_drop() {
         let g = 1.0; // 1 Ω branches
-        let drops = solve_cg(
+        let drops = solve(
             3,
             &[(0, 1, g), (1, 2, g)],
             &[true, false, true],
@@ -363,9 +305,9 @@ mod tests {
         pinned[8] = true;
         let mut inj = vec![0.0; 9];
         inj[4] = 0.1;
-        let d1 = solve_cg(9, &branches, &pinned, &inj);
+        let d1 = solve(9, &branches, &pinned, &inj);
         inj[4] = 0.2;
-        let d2 = solve_cg(9, &branches, &pinned, &inj);
+        let d2 = solve(9, &branches, &pinned, &inj);
         for i in 0..9 {
             assert!((d2[i] - 2.0 * d1[i]).abs() < 1e-6, "node {i}");
         }
@@ -376,7 +318,7 @@ mod tests {
     #[test]
     fn drops_are_nonnegative() {
         let branches = vec![(0u32, 1u32, 2.0), (1, 2, 2.0), (2, 3, 2.0)];
-        let drops = solve_cg(
+        let drops = solve(
             4,
             &branches,
             &[true, false, false, false],
@@ -393,24 +335,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one pad")]
     fn requires_a_pad() {
-        let _ = solve_cg(2, &[(0, 1, 1.0)], &[false, false], &[0.0, 1.0]);
+        let _ = solve(2, &[(0, 1, 1.0)], &[false, false], &[0.0, 1.0]);
     }
 
-    fn ladder_system() -> (ReducedSystem, Vec<f64>) {
-        let n = 40usize;
-        let branches: Vec<(u32, u32, f64)> = (0..n as u32 - 1).map(|i| (i, i + 1, 0.4)).collect();
-        let mut pinned = vec![false; n];
-        pinned[0] = true;
-        pinned[n - 1] = true;
-        let mut inj = vec![0.0; n];
-        for (i, v) in inj.iter_mut().enumerate() {
-            *v = 1e-3 * (1.0 + (i % 5) as f64);
-        }
-        (ReducedSystem::build(n, &branches, &pinned), inj)
-    }
-
-    /// The cached-system path with reused scratch is bit-identical to the
-    /// one-shot assemble-and-solve path.
+    /// The cached-system path with reused scratch is bit-identical to
+    /// assembling and solving from scratch.
     #[test]
     fn cached_system_matches_rebuild_exactly() {
         let n = 40usize;
@@ -419,59 +348,15 @@ mod tests {
         pinned[0] = true;
         pinned[n - 1] = true;
         let system = ReducedSystem::build(n, &branches, &pinned);
-        let mut x = Vec::new();
-        let mut scratch = CgScratch::new();
+        let mut scratch = CgScratch::default();
         for case in 0..5 {
             let inj: Vec<f64> = (0..n).map(|i| 1e-3 * ((i + case) % 7) as f64).collect();
-            let reference = solve_cg(n, &branches, &pinned, &inj);
-            system.solve_into(&inj, &mut x, false, &mut scratch);
-            let reused = system.scatter(&x);
+            let reference = solve(n, &branches, &pinned, &inj);
+            let reused = system.solve_into(&inj, &mut scratch);
             assert_eq!(reused.len(), reference.len());
             for (a, b) in reused.iter().zip(&reference) {
                 assert_eq!(a.to_bits(), b.to_bits(), "case {case}");
             }
         }
-    }
-
-    /// Warm-starting from a nearby solution converges to the same answer
-    /// within the solve tolerance, in no more iterations than cold start.
-    #[test]
-    fn warm_start_agrees_within_tolerance() {
-        let (system, inj) = ladder_system();
-        let mut x_cold = Vec::new();
-        let mut scratch = CgScratch::new();
-        let cold_iters = system.solve_into(&inj, &mut x_cold, false, &mut scratch);
-        let cold = system.scatter(&x_cold);
-
-        // Perturb the injections slightly and warm-start from the previous
-        // solution.
-        let inj2: Vec<f64> = inj.iter().map(|v| v * 1.01).collect();
-        let mut x_warm = x_cold.clone();
-        let warm_iters = system.solve_into(&inj2, &mut x_warm, true, &mut scratch);
-        let warm = system.scatter(&x_warm);
-        let mut x_cold2 = Vec::new();
-        system.solve_into(&inj2, &mut x_cold2, false, &mut scratch);
-        let cold2 = system.scatter(&x_cold2);
-
-        let scale: f64 = cold.iter().cloned().fold(0.0, f64::max).max(1e-12);
-        for (w, c) in warm.iter().zip(&cold2) {
-            assert!((w - c).abs() <= 1e-6 * scale, "warm {w} vs cold {c}");
-        }
-        assert!(
-            warm_iters <= cold_iters,
-            "warm start took {warm_iters} iterations vs cold {cold_iters}"
-        );
-    }
-
-    /// Warm-starting from the exact solution of the same system converges
-    /// immediately (zero iterations).
-    #[test]
-    fn warm_start_from_exact_solution_is_free() {
-        let (system, inj) = ladder_system();
-        let mut x = Vec::new();
-        let mut scratch = CgScratch::new();
-        system.solve_into(&inj, &mut x, false, &mut scratch);
-        let again = system.solve_into(&inj, &mut x, true, &mut scratch);
-        assert_eq!(again, 0, "resolving the same rhs should be free");
     }
 }

@@ -12,10 +12,9 @@
 use crate::{GridConfig, PowerGrid};
 use scap_netlist::{BlockId, Floorplan, NetSource, Netlist};
 use scap_timing::DelayAnnotation;
-use serde::{Deserialize, Serialize};
 
 /// Per-block statistical results.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct BlockStatistics {
     /// Average switching power over the window, mW.
     pub avg_power_mw: f64,
@@ -27,7 +26,7 @@ pub struct BlockStatistics {
 
 /// Statistical analysis report: one row per block plus the chip total —
 /// the shape of the paper's Table 3.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct StatisticalReport {
     /// Toggle probability assumed.
     pub toggle_probability: f64,
@@ -116,7 +115,7 @@ impl<'a> StatisticalAnalysis<'a> {
             .stamp(n, self.floorplan, &gate_current, &flop_current);
         // The symmetric mesh serves both rails; ground bounce mirrors the
         // VDD drop with the return current, which is identical here.
-        let drops = self.grid.solve(&node_currents);
+        let drops = self.grid.solver().solve(&node_currents);
         let mut blocks = vec![BlockStatistics::default(); num_blocks];
         for (b, stat) in blocks.iter_mut().enumerate() {
             stat.avg_power_mw = block_power[b];

@@ -8,10 +8,9 @@
 use scap_netlist::Netlist;
 use scap_sim::ToggleTrace;
 use scap_timing::DelayAnnotation;
-use serde::{Deserialize, Serialize};
 
 /// A binned launch-to-capture power profile.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PowerWaveform {
     /// Bin width, ps.
     pub bin_ps: f64,

@@ -4,7 +4,6 @@
 //! encoding, no TLS; every connection carries exactly one exchange.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
 
 /// Largest accepted request head (request line + headers).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
@@ -61,16 +60,19 @@ impl From<std::io::Error> for ReadError {
 /// Reads one request from `stream`. Returns `Ok(None)` when the peer
 /// closed without sending anything (e.g. the shutdown waker or a port
 /// probe) — not an error, just nothing to answer.
-pub fn read_request(stream: &mut TcpStream) -> Result<Option<Request>, ReadError> {
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+///
+/// At most `MAX_HEAD_BYTES + 1` bytes are read before an over-long head
+/// is rejected, and never more than the head plus the declared body.
+pub fn read_request<R: Read>(stream: R) -> Result<Option<Request>, ReadError> {
+    // The head budget bounds what the buffered reader may pull, so a
+    // line with no newline cannot grow past it.
+    let mut reader = BufReader::new(stream.take(MAX_HEAD_BYTES as u64 + 1));
+    let mut line = Vec::new();
     let mut head_bytes = 0usize;
 
-    let n = read_head_line(&mut reader, &mut line, &mut head_bytes)?;
-    if n == 0 {
+    let Some(request_line) = read_head_line(&mut reader, &mut line, &mut head_bytes)? else {
         return Ok(None);
-    }
-    let request_line = line.trim_end();
+    };
     let mut parts = request_line.split_ascii_whitespace();
     let (method, target, version) = match (parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v)) => (m.to_owned(), t.to_owned(), v),
@@ -82,16 +84,13 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Option<Request>, ReadError
 
     let mut headers = Vec::new();
     loop {
-        line.clear();
-        let n = read_head_line(&mut reader, &mut line, &mut head_bytes)?;
-        if n == 0 {
+        let Some(header) = read_head_line(&mut reader, &mut line, &mut head_bytes)? else {
             return Err(ReadError::BadRequest("connection closed mid-headers"));
-        }
-        let trimmed = line.trim_end();
-        if trimmed.is_empty() {
+        };
+        if header.is_empty() {
             break;
         }
-        let Some((name, value)) = trimmed.split_once(':') else {
+        let Some((name, value)) = header.split_once(':') else {
             return Err(ReadError::BadRequest("malformed header"));
         };
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_owned()));
@@ -106,6 +105,9 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Option<Request>, ReadError
     if content_length > MAX_BODY_BYTES {
         return Err(ReadError::TooLarge("request body over limit"));
     }
+    // Part of the body may already sit in the buffer; read the rest.
+    let unread = content_length.saturating_sub(reader.buffer().len());
+    reader.get_mut().set_limit(unread as u64);
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
 
@@ -122,17 +124,27 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Option<Request>, ReadError
     }))
 }
 
-fn read_head_line(
-    reader: &mut BufReader<&mut TcpStream>,
-    line: &mut String,
+/// Reads one head line into `buf` and returns it without its line
+/// ending, or `None` at end of stream. A head over `MAX_HEAD_BYTES` is
+/// `TooLarge`, a line that is not UTF-8 a `BadRequest`.
+fn read_head_line<'b>(
+    reader: &mut impl BufRead,
+    buf: &'b mut Vec<u8>,
     head_bytes: &mut usize,
-) -> Result<usize, ReadError> {
-    let n = reader.read_line(line)?;
+) -> Result<Option<&'b str>, ReadError> {
+    buf.clear();
+    let n = reader.read_until(b'\n', buf)?;
     *head_bytes += n;
     if *head_bytes > MAX_HEAD_BYTES {
         return Err(ReadError::TooLarge("request head over limit"));
     }
-    Ok(n)
+    if n == 0 {
+        return Ok(None);
+    }
+    match std::str::from_utf8(buf) {
+        Ok(line) => Ok(Some(line.trim_end())),
+        Err(_) => Err(ReadError::BadRequest("request head is not UTF-8")),
+    }
 }
 
 /// One response, always `Connection: close`.
@@ -210,6 +222,99 @@ pub fn status_text(status: u16) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::io::Cursor;
+
+    /// Parses `bytes`, returning the outcome and how many bytes were read.
+    fn parse(bytes: &[u8]) -> (Result<Option<Request>, ReadError>, u64) {
+        let mut source = Cursor::new(bytes);
+        let outcome = read_request(&mut source);
+        (outcome, source.position())
+    }
+
+    #[test]
+    fn parses_a_request_with_a_body() {
+        let bytes = b"POST /v1/profile?seed=3 HTTP/1.1\r\nContent-Length: 11\r\n\r\nscale=0.004";
+        let (outcome, read) = parse(bytes);
+        let req = outcome.unwrap().unwrap();
+        assert_eq!(
+            (req.method.as_str(), req.path.as_str()),
+            ("POST", "/v1/profile")
+        );
+        assert_eq!(req.query, "seed=3");
+        assert_eq!(req.header("content-length"), Some("11"));
+        assert_eq!(req.body_str(), "scale=0.004");
+        assert_eq!(read, bytes.len() as u64);
+        assert!(matches!(parse(b"").0, Ok(None)));
+    }
+
+    #[test]
+    fn a_head_that_is_not_utf8_is_a_bad_request() {
+        let (outcome, _) = parse(b"GET /\xff HTTP/1.1\r\n\r\n");
+        assert!(
+            matches!(outcome, Err(ReadError::BadRequest(_))),
+            "{outcome:?}"
+        );
+        let (outcome, _) = parse(b"GET / HTTP/1.1\r\nx-name: \xfe\r\n\r\n");
+        assert!(
+            matches!(outcome, Err(ReadError::BadRequest(_))),
+            "{outcome:?}"
+        );
+    }
+
+    #[test]
+    fn an_endless_header_line_stops_at_the_head_budget() {
+        let mut bytes = b"GET / HTTP/1.1\r\nx-long: ".to_vec();
+        bytes.resize(1 << 20, b'a');
+        let (outcome, read) = parse(&bytes);
+        assert!(
+            matches!(outcome, Err(ReadError::TooLarge(_))),
+            "{outcome:?}"
+        );
+        assert!(read <= MAX_HEAD_BYTES as u64 + 1, "read {read} bytes");
+    }
+
+    /// Byte soup with HTTP's structural characters over-represented,
+    /// after one of a few plausible prefixes.
+    fn soup(prefix: usize, len: usize, seed: u64) -> Vec<u8> {
+        const PREFIXES: [&[u8]; 4] = [
+            b"",
+            b"GET / HTTP/1.1\r\n",
+            b"POST /v1/profile HTTP/1.1\r\ncontent-length: ",
+            b"GET /healthz HTTP/1.1\r\nhost: x\r\n\r\n",
+        ];
+        const ALPHABET: &[u8] = b"\r\n: /?=GETPOST HTTP/1.1 content-length 0123456789\xff\x00";
+        let mut bytes = PREFIXES[prefix].to_vec();
+        let mut state = seed | 1;
+        for _ in 0..len {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let byte = if state.is_multiple_of(4) {
+                (state >> 32) as u8
+            } else {
+                ALPHABET[(state >> 32) as usize % ALPHABET.len()]
+            };
+            bytes.push(byte);
+        }
+        bytes
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Arbitrary bytes never panic the reader, and it never reads
+        /// past the head and body limits.
+        #[test]
+        fn arbitrary_bytes_never_panic(
+            prefix in 0usize..4,
+            len in 0usize..300,
+            seed in any::<u64>(),
+        ) {
+            let (_, read) = parse(&soup(prefix, len, seed));
+            prop_assert!(read <= (MAX_HEAD_BYTES + 1 + MAX_BODY_BYTES) as u64);
+        }
+    }
 
     #[test]
     fn response_serializes_with_framing_headers() {

@@ -13,11 +13,10 @@
 
 use scap_netlist::{FlopId, NetId, Netlist};
 use scap_timing::DelayAnnotation;
-use serde::{Deserialize, Serialize};
 use std::collections::BinaryHeap;
 
 /// One net transition.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ToggleEvent {
     /// Event time in picoseconds after the launch clock edge at the root.
     pub time_ps: f64,
@@ -29,7 +28,7 @@ pub struct ToggleEvent {
 }
 
 /// The switching activity of one pattern's launch-to-capture window.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct ToggleTrace {
     /// All transitions, in non-decreasing time order.
     pub events: Vec<ToggleEvent>,

@@ -2,10 +2,9 @@
 //! structural collapsing.
 
 use scap_netlist::{BlockId, CellKind, GateId, NetId, NetSource, Netlist};
-use serde::{Deserialize, Serialize};
 
 /// Where a fault lives: on a net stem or on one gate input pin (branch).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum FaultSite {
     /// The stem of a net (covers the driver output pin).
     Net(NetId),
@@ -30,7 +29,7 @@ impl FaultSite {
 }
 
 /// Transition polarity.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Polarity {
     /// Slow-to-rise: the site fails to reach 1 in time. Launch 0→1.
     SlowToRise,
@@ -65,7 +64,7 @@ impl Polarity {
 }
 
 /// One transition delay fault.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TransitionFault {
     /// The defect location.
     pub site: FaultSite,
@@ -111,7 +110,7 @@ impl TransitionFault {
 /// println!("{} uncollapsed, {} collapsed", faults.uncollapsed_count(), faults.faults().len());
 /// # }
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct FaultList {
     faults: Vec<TransitionFault>,
     uncollapsed: usize,

@@ -13,10 +13,9 @@ use crate::sched::LevelQueue;
 use crate::Polarity;
 use crate::{BatchSim, FaultSite, TransitionFault};
 use scap_netlist::{ClockId, NetSource, Netlist};
-use serde::{Deserialize, Serialize};
 
 /// How the second frame of a transition-fault pattern is launched.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum LaunchMode {
     /// Launch-off-capture (broadside): frame 2 is the combinational
     /// response of the load (the paper's method).

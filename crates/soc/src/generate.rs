@@ -7,7 +7,6 @@ use scap_netlist::{
     BlockId, CellKind, ClockEdge, ClockId, Die, Floorplan, NetId, Netlist, NetlistBuilder,
     Placement, Point, Rect,
 };
-use serde::{Deserialize, Serialize};
 
 /// Smallest scale the Turbo-Eagle plan builds at. Every block needs at
 /// least one flop to seed its logic cloud. The binding block is B4,
@@ -18,7 +17,7 @@ use serde::{Deserialize, Serialize};
 pub const MIN_SCALE: f64 = 0.0004;
 
 /// Generator parameters.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SocConfig {
     /// Design size relative to the paper's chip (1.0 ≈ 23 K flops).
     pub scale: f64,
@@ -57,7 +56,7 @@ impl SocConfig {
 }
 
 /// One clock domain of a [`SocPlan`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DomainPlan {
     /// Domain name (e.g. `"clka"`).
     pub name: String,
@@ -75,7 +74,7 @@ pub struct DomainPlan {
 ///
 /// [`SocPlan::turbo_eagle`] is the paper's case-study chip; custom plans
 /// let downstream users model their own SOC.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SocPlan {
     /// Block names, in floorplan order (the generator's floorplan expects
     /// exactly six blocks; index 4 is the hot center block).

@@ -3,10 +3,9 @@
 use crate::SocDesign;
 use scap_netlist::{ClockEdge, ClockId};
 use scap_sim::FaultList;
-use serde::{Deserialize, Serialize};
 
 /// One row of the clock-domain table (paper Table 2).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ClockDomainRow {
     /// Domain name.
     pub name: String,
@@ -20,7 +19,7 @@ pub struct ClockDomainRow {
 
 /// Design characteristics (paper Table 1) plus the per-domain breakdown
 /// (paper Table 2).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DesignReport {
     /// Number of clock domains.
     pub clock_domains: usize,

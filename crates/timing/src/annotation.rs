@@ -1,7 +1,6 @@
 //! Per-instance delay annotation — the SPEF/SDF substitute.
 
 use scap_netlist::{Floorplan, FlopId, GateId, NetId, Netlist};
-use serde::{Deserialize, Serialize};
 
 /// Per-instance rise/fall delays and per-net wire capacitance.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// fixed wire load — handy for tests).
 ///
 /// Delays are in picoseconds, capacitance in femtofarads.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DelayAnnotation {
     gate_rise_ps: Vec<f64>,
     gate_fall_ps: Vec<f64>,

@@ -8,10 +8,9 @@
 //! that scales each buffer's delay by the local supply droop.
 
 use scap_netlist::{ClockId, Floorplan, FlopId, Netlist, Point, Rect};
-use serde::{Deserialize, Serialize};
 
 /// One buffer of the clock tree.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct TreeBuffer {
     /// Physical location of the buffer.
     pub location: Point,
@@ -25,7 +24,7 @@ pub struct TreeBuffer {
 }
 
 /// Per-flop clock arrival times for one clock domain.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ClockArrivals {
     arrivals_ps: Vec<(FlopId, f64)>,
 }
@@ -74,7 +73,7 @@ impl ClockArrivals {
 /// println!("skew = {} ps", nominal.skew_ps());
 /// # }
 /// ```
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct ClockTree {
     /// The domain this tree clocks.
     pub clock: ClockId,

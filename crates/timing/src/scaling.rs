@@ -8,7 +8,6 @@
 //! compares against the nominal "Case 1".
 
 use crate::DelayAnnotation;
-use serde::{Deserialize, Serialize};
 
 /// A signoff process/voltage/temperature corner.
 ///
@@ -16,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// (paper §3.2); both apply one uniform factor to *every* cell, unlike
 /// the per-instance IR-drop scaling this crate also provides — which is
 /// exactly the paper's criticism of corner-based signoff.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Corner {
     /// Fast silicon, high voltage, low temperature.
     Best,

@@ -45,8 +45,9 @@ if [ "$fast" -eq 0 ]; then
     fi
     echo "lint clean at scales 0.005 and 0.01; JSON output parses; --only filter works."
 
-    echo "== CLI usage errors (bad flow option, scale below the generator floor) =="
-    for bad in "atpg --scale 0.004 --flow bogus" "generate --scale 0.0001"; do
+    echo "== CLI usage errors (bad flow option, scale below the generator floor, bad budget) =="
+    for bad in "atpg --scale 0.004 --flow bogus" "generate --scale 0.0001" \
+        "schedule --scale 0.004 --budget abc" "schedule --scale 0.004 --budget -1"; do
         code=0
         # shellcheck disable=SC2086  # word-split the argument list on purpose
         ./target/release/scap $bad >/dev/null 2>&1 || code=$?
@@ -55,7 +56,7 @@ if [ "$fast" -eq 0 ]; then
             exit 1
         fi
     done
-    echo "bad --flow and sub-floor --scale exit 2."
+    echo "bad --flow, sub-floor --scale and bad --budget exit 2."
 
     echo "== sta smoke (derated slack analysis, sta.* counters engaged) =="
     sta_out=$(./target/release/scap sta --scale 0.004 --derate --metrics)
@@ -123,12 +124,18 @@ if [ "$fast" -eq 0 ]; then
     ./target/release/scap-loadgen --addr "$serve_addr" --path /healthz --concurrency 4 --requests 2
     ./target/release/scap-loadgen --addr "$serve_addr" --path /v1/design \
         --query "scale=0.004" --concurrency 4 --requests 2
-    # A scale below the generator's floor is a 400, every time, and
-    # leaves the server answering valid requests; then strict-JSON
-    # validation of both inline and pooled endpoint bodies.
+    # A request line that is not UTF-8 and a scale below the generator's
+    # floor are each a 400 and leave the server answering valid
+    # requests; then strict-JSON validation of both inline and pooled
+    # endpoint bodies.
     python3 - "$serve_addr" <<'PY'
-import json, sys, urllib.error, urllib.request
+import json, socket, sys, urllib.error, urllib.request
 addr = sys.argv[1]
+host, port = addr.rsplit(":", 1)
+with socket.create_connection((host, int(port)), timeout=10) as s:
+    s.sendall(b"GET /\xff HTTP/1.1\r\n\r\n")
+    status = s.makefile("rb").readline()
+assert status.startswith(b"HTTP/1.1 400"), f"non-UTF-8 request line answered {status!r}"
 for _ in range(2):
     try:
         urllib.request.urlopen(f"http://{addr}/v1/design?scale=0.0001&deadline_ms=2000")

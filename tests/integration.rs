@@ -252,8 +252,9 @@ fn ir_drop_scales_linearly_with_activity() {
     });
     two.events
         .sort_by(|a, b| a.time_ps.partial_cmp(&b.time_ps).expect("finite"));
-    let m1 = dynir.analyze(&s.annotation, &one);
-    let m2 = dynir.analyze(&s.annotation, &two);
+    let mut session = dynir.session();
+    let m1 = session.analyze(&s.annotation, &one);
+    let m2 = session.analyze(&s.annotation, &two);
     // Trace `two` has 2 rising and 1 falling toggles over the same window.
     let r = m2.worst_drop_vdd() / m1.worst_drop_vdd().max(1e-18);
     assert!((r - 2.0).abs() < 1e-6, "VDD drop ratio {r}");

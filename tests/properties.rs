@@ -3,9 +3,9 @@
 use proptest::prelude::*;
 use scap::dft::{FillPolicy, TestPattern};
 use scap::netlist::{
-    CellKind, ClockEdge, Levelization, Logic, NetId, Netlist, NetlistBuilder, ScanRole,
+    CellKind, ClockEdge, Die, Levelization, Logic, NetId, Netlist, NetlistBuilder, ScanRole,
 };
-use scap::power::solve_cg;
+use scap::power::{GridConfig, PowerGrid};
 use scap::sim::{BatchSim, EventSim, LogicSim};
 use scap::timing::DelayAnnotation;
 
@@ -184,16 +184,22 @@ proptest! {
         k in 1.0f64..10.0,
         node in 1usize..15,
     ) {
-        let n = 16usize;
-        let branches: Vec<(u32, u32, f64)> =
-            (0..n as u32 - 1).map(|i| (i, i + 1, 0.5)).collect();
-        let mut pinned = vec![false; n];
-        pinned[0] = true;
+        // A 4×4 mesh with a single pad, at node 0.
+        let grid = PowerGrid::new(
+            Die::square(1000.0),
+            GridConfig {
+                nodes_per_side: 4,
+                branch_resistance_ohm: 2.0,
+                num_pads: 1,
+            },
+        );
+        let n = grid.num_nodes();
+        let mut solver = grid.solver();
         let mut inj = vec![0.0; n];
         inj[node] = 0.01;
-        let base = solve_cg(n, &branches, &pinned, &inj);
+        let base = solver.solve(&inj);
         inj[node] = 0.01 * k;
-        let scaled = solve_cg(n, &branches, &pinned, &inj);
+        let scaled = solver.solve(&inj);
         for i in 0..n {
             prop_assert!((scaled[i] - k * base[i]).abs() < 1e-6 * (1.0 + k * base[i].abs()));
         }
