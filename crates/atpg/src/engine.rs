@@ -23,7 +23,8 @@
 
 use scap_dft::TestPattern;
 use scap_netlist::{CellKind, ClockId, Logic, NetId, NetSource, Netlist};
-use scap_sim::{loc, FaultSite, LaunchMode, LevelQueue, LogicSim, SimTable, TransitionFault};
+use scap_sim::loc::{self, State2Src};
+use scap_sim::{FaultSite, LaunchMode, LevelQueue, LogicSim, SimTable, TransitionFault};
 
 /// Outcome of one PODEM run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -50,115 +51,6 @@ enum Frame {
 enum Var {
     Load(u32),
     Pi(u32),
-}
-
-/// Where a flop's frame-2 (launch) state comes from, precomputed per
-/// launch mode so the incremental resync never re-derives chain order.
-///
-/// Shared with the SAT engine (`sat_engine`), whose CNF encoding must
-/// alias frame-2 flop variables to exactly the same sources the PODEM
-/// planes read — the two engines agree on two-frame semantics by
-/// construction, not by parallel reimplementation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum State2Src {
-    /// Launch-off-capture, active domain: captures frame 1's D value.
-    FromD(NetId),
-    /// Holds its own scan-load value (inactive domain / unstitched).
-    Hold,
-    /// Launch-off-shift: takes the upstream scan cell's load.
-    LoadOf(u32),
-    /// Launch-off-shift chain head: the constant scan-in (0).
-    ScanIn,
-}
-
-/// Observation points of one clock domain: the D nets of its capture
-/// flops.
-pub(crate) fn observation_points(netlist: &Netlist, active_clock: ClockId) -> Vec<NetId> {
-    netlist
-        .flops()
-        .iter()
-        .filter(|f| f.clock == active_clock)
-        .map(|f| f.d)
-        .collect()
-}
-
-/// Per-net "can structurally reach an observation point" mask (backward
-/// reachability over gate inputs). Faults whose effect net falls outside
-/// the mask are untestable without any search.
-pub(crate) fn observable_mask(netlist: &Netlist, observed: &[NetId]) -> Vec<bool> {
-    let mut observable = vec![false; netlist.num_nets()];
-    for n in observed {
-        observable[n.index()] = true;
-    }
-    let mut work: Vec<u32> = observed.iter().map(|n| n.raw()).collect();
-    while let Some(ni) = work.pop() {
-        if let Some(NetSource::Gate(g)) = netlist.net(NetId::new(ni)).source {
-            for &inp in &netlist.gate(g).inputs {
-                if !observable[inp.index()] {
-                    observable[inp.index()] = true;
-                    work.push(inp.raw());
-                }
-            }
-        }
-    }
-    observable
-}
-
-/// The upstream scan cell feeding each flop at the launch shift (`None`
-/// at chain heads / unstitched flops), for launch-off-shift.
-pub(crate) fn scan_upstream(netlist: &Netlist) -> Vec<Option<u32>> {
-    let mut by_chain: std::collections::HashMap<u16, Vec<(u32, u32)>> =
-        std::collections::HashMap::new();
-    for (i, f) in netlist.flops().iter().enumerate() {
-        if let Some(role) = f.scan {
-            by_chain
-                .entry(role.chain)
-                .or_default()
-                .push((role.position, i as u32));
-        }
-    }
-    let mut upstream = vec![None; netlist.num_flops()];
-    for chain in by_chain.values_mut() {
-        chain.sort_unstable();
-        for w in chain.windows(2) {
-            upstream[w[1].1 as usize] = Some(w[0].1);
-        }
-    }
-    upstream
-}
-
-/// Frame-2 state source per flop for one launch mode (see
-/// [`State2Src`]).
-pub(crate) fn state2_sources(
-    netlist: &Netlist,
-    active_clock: ClockId,
-    mode: LaunchMode,
-    upstream: &[Option<u32>],
-) -> Vec<State2Src> {
-    netlist
-        .flops()
-        .iter()
-        .enumerate()
-        .map(|(i, f)| match mode {
-            LaunchMode::Capture => {
-                if f.clock == active_clock {
-                    State2Src::FromD(f.d)
-                } else {
-                    State2Src::Hold
-                }
-            }
-            LaunchMode::Shift => {
-                if f.scan.is_some() {
-                    match upstream[i] {
-                        Some(up) => State2Src::LoadOf(up),
-                        None => State2Src::ScanIn,
-                    }
-                } else {
-                    State2Src::Hold
-                }
-            }
-        })
-        .collect()
 }
 
 /// Reusable simulation state for [`Podem::generate_with_scratch`].
@@ -320,9 +212,6 @@ pub struct Podem<'a> {
     active_clock: ClockId,
     mode: LaunchMode,
     backtrack_limit: u32,
-    /// For launch-off-shift: the upstream scan cell feeding each flop at
-    /// the launch shift (`None` at chain heads / unstitched flops).
-    upstream: Vec<Option<u32>>,
     /// Structural depth per net (level of driving gate + 1), backtrace
     /// heuristic.
     depth: Vec<u32>,
@@ -353,7 +242,8 @@ pub struct Podem<'a> {
     /// Per net: can it structurally reach an observation point? Faults
     /// whose effect net cannot are untestable without any search.
     observable: Vec<bool>,
-    /// Frame-2 state source per flop.
+    /// Frame-2 state source per flop ([`loc::state2_sources`]); the
+    /// planes, the watch lists and the backtrace all read it.
     state2_src: Vec<State2Src>,
 }
 
@@ -383,7 +273,7 @@ impl<'a> Podem<'a> {
             gate_level[g.index()] = l;
             num_levels = num_levels.max(l + 1);
         }
-        let observed = observation_points(netlist, active_clock);
+        let observed = loc::observation_points(netlist, active_clock);
         let mut observed_mask = vec![false; netlist.num_nets()];
         for n in &observed {
             observed_mask[n.index()] = true;
@@ -391,21 +281,14 @@ impl<'a> Podem<'a> {
         // Backward reachability from the observation points: a fault
         // whose effect net is outside this set can never produce a
         // good/faulty difference at a capture flop.
-        let observable = observable_mask(netlist, &observed);
-        // Upstream map for launch-off-shift backtracing.
-        let upstream = scan_upstream(netlist);
-        let state2_src = state2_sources(netlist, active_clock, mode, &upstream);
+        let observable = loc::observable_mask(netlist, &observed);
+        let state2_src = loc::state2_sources(netlist, active_clock, mode);
         let flop_q: Vec<u32> = netlist.flops().iter().map(|f| f.q.raw()).collect();
         let pi_net: Vec<u32> = netlist.primary_inputs().iter().map(|p| p.raw()).collect();
         let xload = vec![Logic::X; netlist.num_flops()];
         let xpi = vec![Logic::X; netlist.primary_inputs().len()];
         let base_frame1 = sim.eval(&xload, &xpi, None);
-        let base_state2 = match mode {
-            LaunchMode::Capture => {
-                loc::next_state_masked(netlist, &xload, &base_frame1, active_clock)
-            }
-            LaunchMode::Shift => loc::shift_state(netlist, &xload, Logic::Zero),
-        };
+        let base_state2 = loc::launch_state(&state2_src, &xload, &base_frame1, Logic::Zero);
         let base_good2 = sim.eval(&base_state2, &xpi, None);
         // Watch lists for the dirty resync: which flops must recompute
         // their frame-2 state when a frame-1 net / a load bit changes.
@@ -453,7 +336,6 @@ impl<'a> Podem<'a> {
             active_clock,
             mode,
             backtrack_limit,
-            upstream,
             depth,
             gate_level,
             num_levels,
@@ -475,15 +357,6 @@ impl<'a> Podem<'a> {
     /// The active clock domain.
     pub fn active_clock(&self) -> ClockId {
         self.active_clock
-    }
-
-    /// The net where the fault's effect appears (the net itself for a
-    /// stem fault, the reading gate's output for a branch fault).
-    fn effect_net(&self, fault: TransitionFault) -> usize {
-        match fault.site {
-            FaultSite::Net(n) => n.index(),
-            FaultSite::Pin { gate, .. } => self.sim.netlist().gate(gate).output.index(),
-        }
     }
 
     /// Tries to extend `pattern` (in place) so it detects `fault`, using
@@ -508,7 +381,7 @@ impl<'a> Podem<'a> {
         pattern: &mut TestPattern,
         scratch: &mut PodemScratch,
     ) -> PodemOutcome {
-        if !self.observable[self.effect_net(fault)] {
+        if !self.observable[fault.site.effect_net(self.sim.netlist()).index()] {
             // No structural path from the fault effect to a capture
             // point: the faulty plane can never differ at an observed
             // net, so the search below could only ever exhaust or
@@ -541,12 +414,7 @@ impl<'a> Podem<'a> {
     fn rebuild(&self, pattern: &TestPattern, s: &mut PodemScratch) {
         let netlist = self.sim.netlist();
         s.frame1 = self.sim.eval(&pattern.load, &pattern.pi, None);
-        let state2 = match self.mode {
-            LaunchMode::Capture => {
-                loc::next_state_masked(netlist, &pattern.load, &s.frame1, self.active_clock)
-            }
-            LaunchMode::Shift => loc::shift_state(netlist, &pattern.load, Logic::Zero),
-        };
+        let state2 = loc::launch_state(&self.state2_src, &pattern.load, &s.frame1, Logic::Zero);
         s.good2 = self.sim.eval(&state2, &pattern.pi, None);
         s.faulty2.clear();
         s.faulty2.resize(netlist.num_nets(), Logic::X);
@@ -606,12 +474,7 @@ impl<'a> Podem<'a> {
         // are held across both frames.
         s.queue.begin();
         for (i, &q) in self.flop_q.iter().enumerate() {
-            let nv = match self.state2_src[i] {
-                State2Src::FromD(d) => s.frame1[d.index()],
-                State2Src::Hold => pattern.load[i],
-                State2Src::LoadOf(j) => pattern.load[j as usize],
-                State2Src::ScanIn => Logic::Zero,
-            };
+            let nv = self.state2_src[i].value(i, &pattern.load, &s.frame1, Logic::Zero);
             let q = q as usize;
             if s.good2[q] != nv {
                 s.good2[q] = nv;
@@ -691,11 +554,7 @@ impl<'a> Podem<'a> {
                     );
                     for w in w0..w1 {
                         let f = self.l_watch[w] as usize;
-                        let nv = match self.state2_src[f] {
-                            State2Src::Hold => pattern.load[f],
-                            State2Src::LoadOf(u) => pattern.load[u as usize],
-                            _ => unreachable!("l_watch only lists Hold/LoadOf flops"),
-                        };
+                        let nv = self.state2_src[f].value(f, &pattern.load, &s.frame1, Logic::Zero);
                         let q = self.flop_q[f] as usize;
                         if s.good2[q] != nv {
                             s.trail.push(trail_entry(q, s.good2[q], TRAIL_GOOD2));
@@ -1262,25 +1121,17 @@ impl<'a> Podem<'a> {
                 Some(NetSource::Const(_)) => return None,
                 Some(NetSource::Flop(f)) => match frame {
                     Frame::One => return Some((Var::Load(f.raw()), value)),
-                    Frame::Two => match self.mode {
-                        LaunchMode::Capture => {
-                            let flop = netlist.flop(f);
-                            if flop.clock == self.active_clock {
-                                net = flop.d;
-                                frame = Frame::One;
-                            } else {
-                                return Some((Var::Load(f.raw()), value));
-                            }
+                    // Follow the flop's launch source back to a load bit.
+                    Frame::Two => match self.state2_src[f.index()] {
+                        State2Src::FromD(d) => {
+                            net = d;
+                            frame = Frame::One;
                         }
-                        LaunchMode::Shift => {
-                            // Frame-2 state came from the upstream scan
-                            // cell's load; chain heads hold the constant
-                            // scan-in (would never be X here).
-                            match self.upstream[f.index()] {
-                                Some(up) => return Some((Var::Load(up), value)),
-                                None => return None,
-                            }
-                        }
+                        State2Src::Hold => return Some((Var::Load(f.raw()), value)),
+                        State2Src::LoadOf(up) => return Some((Var::Load(up), value)),
+                        // A chain head takes the constant scan-in, which
+                        // is never X.
+                        State2Src::ScanIn => return None,
                     },
                 },
                 Some(NetSource::Gate(g)) => {
@@ -1552,6 +1403,62 @@ mod tests {
             PodemOutcome::Untestable
         );
         assert_eq!(pattern, TestPattern::unspecified(&n));
+    }
+
+    /// Launch-off-shift through a flop with no scan role: an unstitched
+    /// flop holds its own load across the launch shift, so PODEM must
+    /// backtrace a frame-2 objective on it to its own load bit — the
+    /// answer the SAT encoder and the fault simulator give.
+    #[test]
+    fn launch_off_shift_backtraces_through_an_unstitched_flop() {
+        use crate::{SatAtpg, SatOutcome};
+        use scap_netlist::{FlopId, ScanRole};
+        let mut b = NetlistBuilder::new("los");
+        let blk = b.add_block("B1");
+        let clk = b.add_clock_domain("clka", 100e6);
+        let q: Vec<NetId> = (0..4).map(|i| b.add_net(format!("q{i}"))).collect();
+        let w = b.add_net("w");
+        let d = b.add_net("d");
+        b.add_gate(CellKind::And2, &[q[0], q[1]], w, blk).unwrap();
+        b.add_gate(CellKind::Inv, &[q[3]], d, blk).unwrap();
+        for (i, &qi) in q.iter().enumerate().take(3) {
+            b.add_flop(format!("ff{i}"), d, qi, clk, ClockEdge::Rising, blk)
+                .unwrap();
+        }
+        b.add_flop("ff3", w, q[3], clk, ClockEdge::Rising, blk)
+            .unwrap();
+        let mut n = b.finish().unwrap();
+        // Chain ff2 -> ff0; ff1 and ff3 stay unstitched.
+        n.set_scan_role(
+            FlopId::new(2),
+            ScanRole {
+                chain: 0,
+                position: 0,
+            },
+        );
+        n.set_scan_role(
+            FlopId::new(0),
+            ScanRole {
+                chain: 0,
+                position: 1,
+            },
+        );
+        let fault = TransitionFault::new(FaultSite::Net(q[0]), Polarity::SlowToRise);
+
+        // SAT: q0 loads 0, takes ff2's 1 at the shift, and w needs ff1
+        // to hold its loaded 1.
+        let sat = SatAtpg::new(&n, ClockId::new(0), LaunchMode::Shift, 10_000);
+        let mut sp = TestPattern::unspecified(&n);
+        assert_eq!(sat.generate(fault, &mut sp), SatOutcome::Test);
+        assert_eq!(sp.load, [Logic::Zero, Logic::One, Logic::One, Logic::X]);
+        let fsim = TransitionFaultSim::with_mode(&n, ClockId::new(0), LaunchMode::Shift);
+        let summary = fsim.detect_batch(&[0, 1, 1, 0], &[], 1, &[fault]);
+        assert_eq!(summary.detect_mask, [1]);
+
+        let podem = Podem::with_mode(&n, ClockId::new(0), LaunchMode::Shift, 1000);
+        let mut pp = TestPattern::unspecified(&n);
+        assert_eq!(podem.generate(fault, &mut pp), PodemOutcome::Test);
+        assert_eq!(pp.load, sp.load);
     }
 
     #[test]

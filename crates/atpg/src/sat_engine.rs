@@ -28,9 +28,11 @@
 //!   netlist's own truth tables are the oracle, so the encoder cannot
 //!   disagree with the simulator.
 //! * **Frame 2, good machine**: flop Q variables alias per
-//!   [`State2Src`] — active-domain flops read the frame-1 value of
-//!   their D net (launch-off-capture); others hold their load, take the
-//!   upstream cell's load, or the constant scan-in (launch-off-shift).
+//!   [`State2Src`], the launch rule of [`scap_sim::loc`] that PODEM and
+//!   the fault simulator read too — active-domain flops read the frame-1
+//!   value of their D net (launch-off-capture); others hold their load,
+//!   take the upstream cell's load, or the constant scan-in
+//!   (launch-off-shift).
 //!   Primary inputs are *held*: frame 2 reuses the frame-1 variables.
 //! * **Frame 2, faulty machine**: fresh variables only on the fault
 //!   site's output cone. A stem fault pins the site net to its
@@ -51,12 +53,10 @@
 //!
 //! [`CellKind::eval_bool`]: scap_netlist::CellKind::eval_bool
 
-use crate::engine::{
-    observable_mask, observation_points, scan_upstream, state2_sources, State2Src,
-};
 use scap_dft::TestPattern;
 use scap_netlist::{ClockId, GateId, Levelization, Logic, NetId, NetSource, Netlist};
 use scap_sat::{Lit, SolveResult, Solver, SolverStats};
+use scap_sim::loc::{self, State2Src};
 use scap_sim::{FaultSite, LaunchMode, TransitionFault};
 
 /// Outcome of one SAT ATPG attempt.
@@ -88,11 +88,6 @@ pub struct SatAtpg<'a> {
     pi_of_net: Vec<u32>,
     /// Conflict budget per solve (`Unknown` past it).
     conflict_limit: u64,
-    /// Optional cardinality budget: at most this many scan-load care
-    /// bits may be driven to 1 per generated pattern (the
-    /// sequential-counter switching-budget hook — loaded 1s are what
-    /// toggles at launch under the zero-fill flows).
-    load_ones_budget: Option<usize>,
 }
 
 /// Per-fault encoder state: the solver plus per-plane literal memos.
@@ -466,10 +461,8 @@ impl<'a> SatAtpg<'a> {
         mode: LaunchMode,
         conflict_limit: u64,
     ) -> Self {
-        let observed = observation_points(netlist, active_clock);
-        let observable = observable_mask(netlist, &observed);
-        let upstream = scan_upstream(netlist);
-        let state2 = state2_sources(netlist, active_clock, mode, &upstream);
+        let observed = loc::observation_points(netlist, active_clock);
+        let observable = loc::observable_mask(netlist, &observed);
         let mut pi_of_net = vec![u32::MAX; netlist.num_nets()];
         for (i, p) in netlist.primary_inputs().iter().enumerate() {
             pi_of_net[p.index()] = i as u32;
@@ -477,31 +470,11 @@ impl<'a> SatAtpg<'a> {
         SatAtpg {
             netlist,
             levels: Levelization::build(netlist),
-            state2,
+            state2: loc::state2_sources(netlist, active_clock, mode),
             observed,
             observable,
             pi_of_net,
             conflict_limit,
-            load_ones_budget: None,
-        }
-    }
-
-    /// Caps the number of scan-load bits a generated pattern may drive
-    /// to 1, as a sequential-counter cardinality constraint over the
-    /// encoded load variables — the per-pattern switching-budget hook
-    /// (loaded 1s are what toggles at launch under the zero-fill
-    /// flows).
-    pub fn with_load_ones_budget(mut self, budget: usize) -> Self {
-        self.load_ones_budget = Some(budget);
-        self
-    }
-
-    /// The net where the fault's effect first appears: the net itself
-    /// for a stem fault, the reading gate's output for a branch fault.
-    fn effect_net(&self, fault: TransitionFault) -> usize {
-        match fault.site {
-            FaultSite::Net(n) => n.index(),
-            FaultSite::Pin { gate, .. } => self.netlist.gate(gate).output.index(),
         }
     }
 
@@ -509,7 +482,7 @@ impl<'a> SatAtpg<'a> {
     /// returning the verdict. On `Untestable` and `Unknown` the pattern
     /// is left untouched. Statistics land on the `sat.*` counters.
     pub fn generate(&self, fault: TransitionFault, pattern: &mut TestPattern) -> SatOutcome {
-        if !self.observable[self.effect_net(fault)] {
+        if !self.observable[fault.site.effect_net(self.netlist).index()] {
             // No structural path to a capture flop: untestable without
             // building a formula (the same shortcut PODEM takes).
             return SatOutcome::Untestable;
@@ -561,12 +534,6 @@ impl<'a> SatAtpg<'a> {
             any.push(d);
         }
         enc.solver.add_clause(&any);
-
-        // Optional switching budget over the encoded load bits.
-        if let Some(k) = self.load_ones_budget {
-            let loads: Vec<Lit> = enc.load.iter().copied().flatten().collect();
-            enc.solver.add_at_most_k(&loads, k);
-        }
 
         let result = enc.solver.solve();
         record_stats(enc.solver.stats());
@@ -692,18 +659,5 @@ mod tests {
         let f = TransitionFault::new(FaultSite::Net(NetId::new(2)), Polarity::SlowToFall);
         let mut p = TestPattern::unspecified(&n);
         assert_eq!(sat.generate(f, &mut p), SatOutcome::Untestable);
-    }
-
-    #[test]
-    fn load_ones_budget_restricts_models() {
-        let n = and_netlist();
-        // Slow-to-fall needs both loads at 1: a budget of one loaded 1
-        // makes it unsatisfiable, proving the cardinality bites.
-        let f = TransitionFault::new(FaultSite::Net(Y), Polarity::SlowToFall);
-        let sat = SatAtpg::new(&n, CLK, LaunchMode::Capture, 10_000).with_load_ones_budget(1);
-        let mut p = TestPattern::unspecified(&n);
-        assert_eq!(sat.generate(f, &mut p), SatOutcome::Untestable);
-        let sat = SatAtpg::new(&n, CLK, LaunchMode::Capture, 10_000).with_load_ones_budget(2);
-        assert_eq!(sat.generate(f, &mut p), SatOutcome::Test);
     }
 }

@@ -1,19 +1,24 @@
 //! Differential properties between the PODEM and SAT ATPG engines.
 //!
-//! Both engines answer the same two-frame launch-off-capture question —
-//! "is there a scan load that launches a transition at the fault site
-//! and captures its effect?" — over the same netlist semantics, so their
-//! verdicts must agree wherever both are definite:
+//! Both engines answer the same two-frame question — "is there a scan
+//! load that launches a transition at the fault site and captures its
+//! effect?" — over the same netlist semantics, so their verdicts must
+//! agree wherever both are definite, under launch-off-capture and under
+//! launch-off-shift on randomly, partially stitched scan chains:
 //!
 //! * PODEM `Test` ⇒ the CNF is satisfiable (SAT also finds a test),
 //! * SAT `Untestable` (an UNSAT proof) ⇒ PODEM never returns `Test`,
+//! * every test either engine finds detects the fault in the fault
+//!   simulator of the same launch mode,
 //! * the hybrid generator's pattern stream is bit-identical regardless
 //!   of the drop-simulation thread count.
 
 use proptest::prelude::*;
-use scap_dft::TestPattern;
-use scap_netlist::{CellKind, ClockEdge, ClockId, NetId, Netlist, NetlistBuilder};
-use scap_sim::{FaultList, LaunchMode};
+use scap_dft::{FillPolicy, PatternBatch, TestPattern};
+use scap_netlist::{
+    CellKind, ClockEdge, ClockId, FlopId, NetId, Netlist, NetlistBuilder, ScanRole,
+};
+use scap_sim::{FaultList, LaunchMode, TransitionFaultSim};
 use scap_tgen::{AtpgConfig, EngineKind, Generator, Podem, PodemOutcome, SatAtpg, SatOutcome};
 
 const CLK: ClockId = ClockId::new(0);
@@ -24,6 +29,34 @@ const CLK: ClockId = ClockId::new(0);
 fn arb_netlist(max_gates: usize) -> impl Strategy<Value = Netlist> {
     (2usize..6, 5usize..max_gates.max(6), any::<u64>())
         .prop_map(|(n_ff, n_gates, seed)| random_netlist(n_ff, n_gates, seed))
+}
+
+/// Strategy: [`arb_netlist`] with a random subset of its flops stitched
+/// into up to two scan chains, in random order with position gaps.
+fn arb_stitched_netlist(max_gates: usize) -> impl Strategy<Value = Netlist> {
+    (2usize..6, 5usize..max_gates.max(6), any::<u64>()).prop_map(|(n_ff, n_gates, seed)| {
+        use rand::{Rng, SeedableRng};
+        let mut n = random_netlist(n_ff, n_gates, seed);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed.rotate_left(17));
+        let mut order: Vec<u32> = (0..n_ff as u32).collect();
+        for i in (1..n_ff).rev() {
+            order.swap(i, rng.gen_range(0..i + 1));
+        }
+        let mut next_pos = [0u32; 2];
+        for f in order {
+            if rng.gen_range(0..3) == 0 {
+                continue;
+            }
+            let chain = rng.gen_range(0..2usize);
+            next_pos[chain] += rng.gen_range(1..3u32);
+            let role = ScanRole {
+                chain: chain as u16,
+                position: next_pos[chain],
+            };
+            n.set_scan_role(FlopId::new(f), role);
+        }
+        n
+    })
 }
 
 fn random_netlist(n_ff: usize, n_gates: usize, seed: u64) -> Netlist {
@@ -68,63 +101,121 @@ fn random_netlist(n_ff: usize, n_gates: usize, seed: u64) -> Netlist {
     }
 }
 
+/// Whether the zero-filled `pattern` detects `fault` in `fsim`.
+fn fault_sim_detects(
+    n: &Netlist,
+    fsim: &TransitionFaultSim,
+    fault: scap_sim::TransitionFault,
+    pattern: &TestPattern,
+) -> bool {
+    let mut rng = rand::rngs::mock::StepRng::new(0, 1);
+    let filled = pattern.fill(n, FillPolicy::Zero, &mut rng);
+    let batch = PatternBatch::pack(std::slice::from_ref(&filled));
+    fsim.detect_batch(&batch.load_words, &batch.pi_words, 1, &[fault])
+        .detect_mask[0]
+        == 1
+}
+
+/// Wherever PODEM finds a test the CNF must be satisfiable, and
+/// wherever SAT proves the fault untestable PODEM must never have found
+/// a test. A generous backtrack/conflict budget keeps both engines
+/// definite on these tiny cones, so the implications bind on nearly
+/// every fault. Every test either engine finds must detect the fault in
+/// the fault simulator of the same launch mode.
+fn verdicts_agree(n: &Netlist, mode: LaunchMode) -> Result<(), TestCaseError> {
+    let podem = Podem::with_mode(n, CLK, mode, 10_000);
+    let sat = SatAtpg::new(n, CLK, mode, 1_000_000);
+    let fsim = TransitionFaultSim::with_mode(n, CLK, mode);
+    for &fault in FaultList::full(n).faults() {
+        let mut pp = TestPattern::unspecified(n);
+        let p = podem.generate(fault, &mut pp);
+        let mut sp = TestPattern::unspecified(n);
+        let s = sat.generate(fault, &mut sp);
+        if p == PodemOutcome::Test {
+            prop_assert_eq!(
+                s,
+                SatOutcome::Test,
+                "PODEM detected {:?} but SAT disagreed",
+                fault
+            );
+            prop_assert!(
+                fault_sim_detects(n, &fsim, fault, &pp),
+                "PODEM test for {:?} not confirmed by fault simulation",
+                fault
+            );
+        }
+        if s == SatOutcome::Test {
+            prop_assert!(
+                fault_sim_detects(n, &fsim, fault, &sp),
+                "SAT test for {:?} not confirmed by fault simulation",
+                fault
+            );
+        }
+        if s == SatOutcome::Untestable {
+            prop_assert_ne!(
+                p,
+                PodemOutcome::Test,
+                "SAT proved {:?} untestable but PODEM found a test",
+                fault
+            );
+        }
+        if p == PodemOutcome::Untestable {
+            prop_assert_eq!(
+                s,
+                SatOutcome::Untestable,
+                "PODEM exhausted the space of {:?} but the CNF is SAT",
+                fault
+            );
+        }
+    }
+    Ok(())
+}
+
+/// A SAT-produced test pattern must actually be a test: handing its care
+/// bits to PODEM as pre-set constraints still yields `Test` (the witness
+/// is consistent with PODEM's own semantics).
+fn sat_witness_passes_podem(n: &Netlist, mode: LaunchMode) -> Result<(), TestCaseError> {
+    let podem = Podem::with_mode(n, CLK, mode, 10_000);
+    let sat = SatAtpg::new(n, CLK, mode, 1_000_000);
+    for &fault in FaultList::full(n).faults() {
+        let mut sp = TestPattern::unspecified(n);
+        if sat.generate(fault, &mut sp) != SatOutcome::Test {
+            continue;
+        }
+        let mut check = sp.clone();
+        prop_assert_eq!(
+            podem.generate(fault, &mut check),
+            PodemOutcome::Test,
+            "SAT witness for {:?} rejected by PODEM",
+            fault
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Wherever PODEM finds a test the CNF must be satisfiable, and
-    /// wherever SAT proves the fault untestable PODEM must never have
-    /// found a test. A generous backtrack/conflict budget keeps both
-    /// engines definite on these tiny cones, so the implications bind on
-    /// nearly every fault.
     #[test]
     fn podem_and_sat_verdicts_agree(n in arb_netlist(20)) {
-        let podem = Podem::with_mode(&n, CLK, LaunchMode::Capture, 10_000);
-        let sat = SatAtpg::new(&n, CLK, LaunchMode::Capture, 1_000_000);
-        for &fault in FaultList::full(&n).faults() {
-            let mut pp = TestPattern::unspecified(&n);
-            let p = podem.generate(fault, &mut pp);
-            let mut sp = TestPattern::unspecified(&n);
-            let s = sat.generate(fault, &mut sp);
-            if p == PodemOutcome::Test {
-                prop_assert_eq!(
-                    s, SatOutcome::Test,
-                    "PODEM detected {:?} but SAT disagreed", fault
-                );
-            }
-            if s == SatOutcome::Untestable {
-                prop_assert_ne!(
-                    p, PodemOutcome::Test,
-                    "SAT proved {:?} untestable but PODEM found a test", fault
-                );
-            }
-            if p == PodemOutcome::Untestable {
-                prop_assert_eq!(
-                    s, SatOutcome::Untestable,
-                    "PODEM exhausted the space of {:?} but the CNF is SAT", fault
-                );
-            }
-        }
+        verdicts_agree(&n, LaunchMode::Capture)?;
     }
 
-    /// A SAT-produced test pattern must actually be a test: handing its
-    /// care bits to PODEM as pre-set constraints still yields `Test`
-    /// (the witness is consistent with PODEM's own semantics).
     #[test]
     fn sat_witness_is_a_podem_consistent_test(n in arb_netlist(20)) {
-        let podem = Podem::with_mode(&n, CLK, LaunchMode::Capture, 10_000);
-        let sat = SatAtpg::new(&n, CLK, LaunchMode::Capture, 1_000_000);
-        for &fault in FaultList::full(&n).faults() {
-            let mut sp = TestPattern::unspecified(&n);
-            if sat.generate(fault, &mut sp) != SatOutcome::Test {
-                continue;
-            }
-            let mut check = sp.clone();
-            prop_assert_eq!(
-                podem.generate(fault, &mut check),
-                PodemOutcome::Test,
-                "SAT witness for {:?} rejected by PODEM", fault
-            );
-        }
+        sat_witness_passes_podem(&n, LaunchMode::Capture)?;
+    }
+
+    #[test]
+    fn launch_off_shift_verdicts_agree(n in arb_stitched_netlist(20)) {
+        verdicts_agree(&n, LaunchMode::Shift)?;
+    }
+
+    #[test]
+    fn launch_off_shift_sat_witness_is_a_podem_consistent_test(
+        n in arb_stitched_netlist(20),
+    ) {
+        sat_witness_passes_podem(&n, LaunchMode::Shift)?;
     }
 }
 

@@ -1,12 +1,14 @@
 //! Scalar vs. word-packed (PPSFP) fault propagation on a fixed random
 //! netlist.
 //!
-//! Grades the same 512 faults × 64 patterns two ways: pattern-at-a-time
-//! through the single-lane fast path (the PR 5 scalar shape) and as one
-//! 64-lane block through `detect_block`. The ratio between the two is
-//! the bit-parallel win; a regression in the packed evaluators shows up
-//! here without running the full evaluation. The netlist is seeded, so
-//! numbers are comparable across runs and machines.
+//! Grades the same 512 faults × 64 patterns two ways through
+//! `detect_batch_with_scratch`, the one detection kernel:
+//! pattern-at-a-time with a single-lane `valid_mask` (the ATPG
+//! drop-simulation shape) and as one 64-lane word batch. The ratio
+//! between the two is the bit-parallel win; a regression in the word
+//! propagation shows up here without running the full evaluation. The
+//! netlist is seeded, so numbers are comparable across runs and
+//! machines.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::{Rng, SeedableRng};

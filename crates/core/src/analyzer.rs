@@ -5,7 +5,8 @@ use scap_dft::{FilledPattern, PatternBatch, PatternSet};
 use scap_exec::Executor;
 use scap_netlist::{ClockId, FlopId, Netlist};
 use scap_power::{DynSession, DynamicAnalysis, IrDropMap, PatternPower, ScapCalculator};
-use scap_sim::{loc, BatchSim, EventSim, ToggleTrace};
+use scap_sim::loc::{self, State2Src};
+use scap_sim::{BatchSim, EventSim, LaunchMode, ToggleTrace};
 use scap_timing::{scaling, ClockArrivals, DelayAnnotation};
 
 /// Per-endpoint delay report (the paper's Figure 7 data).
@@ -56,17 +57,21 @@ pub struct PatternAnalyzer<'a> {
     batch: BatchSim<'a>,
     dynir: DynamicAnalysis<'a>,
     active_clock: ClockId,
+    /// Launch-off-capture state source per flop.
+    state2: Vec<State2Src>,
 }
 
 impl<'a> PatternAnalyzer<'a> {
     /// Builds an analyzer bound to a case study.
     pub fn new(study: &'a CaseStudy) -> Self {
         let d = &study.design;
+        let active_clock = study.clka();
         PatternAnalyzer {
             study,
             batch: BatchSim::new(&d.netlist),
             dynir: DynamicAnalysis::new(&d.netlist, &d.floorplan, study.grid),
-            active_clock: study.clka(),
+            active_clock,
+            state2: loc::state2_sources(&d.netlist, active_clock, LaunchMode::Capture),
         }
     }
 
@@ -91,9 +96,9 @@ impl<'a> PatternAnalyzer<'a> {
     ) -> (Vec<bool>, Vec<(FlopId, bool, f64)>) {
         let n = self.netlist();
         let b = PatternBatch::pack(std::slice::from_ref(filled));
-        let frames =
-            loc::loc_frames_batch(&self.batch, &b.load_words, &b.pi_words, self.active_clock);
-        let frame1: Vec<bool> = frames.frame1.iter().map(|w| w & 1 == 1).collect();
+        let frame1 = self.batch.eval(&b.load_words, &b.pi_words);
+        let state2 = loc::launch_state(&self.state2, &b.load_words, &frame1, 0);
+        let frame1: Vec<bool> = frame1.iter().map(|w| w & 1 == 1).collect();
         let mut launches = Vec::new();
         for (i, f) in n.flops().iter().enumerate() {
             if f.clock != self.active_clock {
@@ -101,7 +106,7 @@ impl<'a> PatternAnalyzer<'a> {
             }
             let id = FlopId::new(i as u32);
             let old = b.load_words[i] & 1 == 1;
-            let new = frames.state2[i] & 1 == 1;
+            let new = state2[i] & 1 == 1;
             if old != new {
                 let t = arrivals.arrival_ps(id).unwrap_or(0.0) + annotation.flop_clk_to_q_ps(id);
                 launches.push((id, new, t));

@@ -7,7 +7,8 @@
 use scap_dft::PatternSet;
 use scap_exec::{shard_ranges, Executor};
 use scap_netlist::{ClockId, Netlist};
-use scap_sim::{CollapseMap, FaultList, PatternBlock, PropagationScratch, TransitionFaultSim};
+use scap_sim::loc::BatchFrames;
+use scap_sim::{CollapseMap, FaultList, PropagationScratch, TransitionFaultSim};
 
 /// Result of grading a pattern set.
 #[derive(Clone, Debug)]
@@ -36,22 +37,28 @@ impl GradeResult {
     }
 }
 
-/// Word planes of one batch, transposed once per round.
+/// Launch frames of one batch, computed once per round.
 struct RoundBatch {
     start: usize,
-    block: PatternBlock,
+    valid_mask: u64,
+    frames: BatchFrames,
 }
 
-/// Builds the round's pattern blocks, one batch per worker.
-fn round_blocks(
+/// Computes the round's launch frames, one batch per worker.
+fn round_frames(
     exec: &Executor,
     sim: &TransitionFaultSim<'_>,
     round: &[(usize, scap_dft::PatternBatch)],
 ) -> Vec<RoundBatch> {
     scap_obs::counter!("sim.fault_sim_batches").add(round.len() as u64);
-    exec.parallel_map(round, |(start, batch)| RoundBatch {
-        start: *start,
-        block: sim.block_from_words(&batch.load_words, &batch.pi_words, batch.valid_mask),
+    exec.parallel_map(round, |(start, batch)| {
+        scap_obs::counter!("sim.block_evals").incr();
+        scap_obs::counter!("sim.patterns_per_block").add(u64::from(batch.valid_mask.count_ones()));
+        RoundBatch {
+            start: *start,
+            valid_mask: batch.valid_mask,
+            frames: sim.frames(&batch.load_words, &batch.pi_words),
+        }
     })
 }
 
@@ -101,7 +108,7 @@ pub fn grade_patterns(
         }
         scap_obs::counter!("grade.rounds").incr();
         scap_obs::counter!("grade.fault_sim_targets").add(remaining.len() as u64);
-        let blocks = round_blocks(&exec, &sim, round);
+        let frames = round_frames(&exec, &sim, round);
         let shards = shard_ranges(remaining.len(), threads);
         scap_obs::counter!("grade.fault_shards").add(shards.len() as u64);
         let credited: Vec<Vec<(u32, u32)>> = exec.parallel_map_with(
@@ -113,9 +120,9 @@ pub fn grade_patterns(
                 for &fi in &remaining[range.clone()] {
                     let fault = list[fi as usize];
                     let mut best = u32::MAX;
-                    for rb in &blocks {
+                    for rb in &frames {
                         checks += 1;
-                        let mask = sim.detect_block(&rb.block, fault, scratch);
+                        let mask = sim.detect_one(&rb.frames, rb.valid_mask, fault, scratch);
                         if mask != 0 {
                             best = best.min(rb.start as u32 + mask.trailing_zeros());
                         }
@@ -191,7 +198,7 @@ pub fn compact_patterns(
             break;
         }
         scap_obs::counter!("compact.rounds").incr();
-        let blocks = round_blocks(&exec, &sim, round);
+        let frames = round_frames(&exec, &sim, round);
         let shards = shard_ranges(remaining.len(), threads);
         scap_obs::counter!("grade.fault_shards").add(shards.len() as u64);
         let credited: Vec<Vec<(u32, u32)>> = exec.parallel_map_with(
@@ -203,9 +210,9 @@ pub fn compact_patterns(
                 for &fi in &remaining[range.clone()] {
                     let fault = list[fi as usize];
                     let mut best: Option<u32> = None;
-                    for rb in &blocks {
+                    for rb in &frames {
                         checks += 1;
-                        let mask = sim.detect_block(&rb.block, fault, scratch);
+                        let mask = sim.detect_one(&rb.frames, rb.valid_mask, fault, scratch);
                         if mask != 0 {
                             let p = rb.start as u32 + (63 - mask.leading_zeros());
                             best = Some(best.map_or(p, |b| b.max(p)));

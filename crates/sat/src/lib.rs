@@ -640,48 +640,6 @@ impl Solver {
             }
         }
     }
-
-    /// Adds the sequential-counter (Sinz) encoding of "at most `k` of
-    /// `lits` are true". With `k = 0` every literal is simply forced
-    /// false. Auxiliary register variables are created internally.
-    pub fn add_at_most_k(&mut self, lits: &[Lit], k: usize) -> bool {
-        if k >= lits.len() {
-            return true;
-        }
-        if k == 0 {
-            for &l in lits {
-                if !self.add_clause(&[!l]) {
-                    return false;
-                }
-            }
-            return true;
-        }
-        let n = lits.len();
-        // s[i][j] ⇔ "at least j+1 of the first i+1 literals are true"
-        // (one-directional implications suffice for at-most-k).
-        let regs: Vec<Vec<Lit>> = (0..n - 1)
-            .map(|_| (0..k).map(|_| Lit::pos(self.new_var())).collect())
-            .collect();
-        let mut ok = self.add_clause(&[!lits[0], regs[0][0]]);
-        let upper: Vec<Lit> = regs[0][1..].to_vec();
-        for r in upper {
-            ok &= self.add_clause(&[!r]);
-        }
-        for i in 1..n {
-            if i < n - 1 {
-                ok &= self.add_clause(&[!lits[i], regs[i][0]]);
-                ok &= self.add_clause(&[!regs[i - 1][0], regs[i][0]]);
-                for j in 1..k {
-                    ok &= self.add_clause(&[!lits[i], !regs[i - 1][j - 1], regs[i][j]]);
-                    ok &= self.add_clause(&[!regs[i - 1][j], regs[i][j]]);
-                }
-            }
-            // Overflow: literal i true while the first i literals
-            // already reached k.
-            ok &= self.add_clause(&[!lits[i], !regs[i - 1][k - 1]]);
-        }
-        ok
-    }
 }
 
 #[cfg(test)]
@@ -825,43 +783,6 @@ mod tests {
                 assert_eq!(res, SolveResult::Unsat);
             }
         }
-    }
-
-    /// The sequential counter admits exactly the ≤k assignments.
-    #[test]
-    fn at_most_k_counts_correctly() {
-        for n in 1..6usize {
-            for k in 0..=n {
-                // Count models over the n original vars by iterating
-                // all forced assignments.
-                let mut models = 0u32;
-                for m in 0u32..1 << n {
-                    let mut s = Solver::new();
-                    let vars = lits(&mut s, n);
-                    let mut feasible = s.add_at_most_k(&vars, k);
-                    for (v, &lit) in vars.iter().enumerate() {
-                        let want = (m >> v) & 1 == 1;
-                        feasible &= s.add_clause(&[if want { lit } else { !lit }]);
-                    }
-                    let sat = feasible && s.solve() == SolveResult::Sat;
-                    assert_eq!(sat, m.count_ones() as usize <= k, "n={n} k={k} m={m:b}");
-                    models += sat as u32;
-                }
-                let expect: u32 = (0..=k as u32).map(|j| binom(n as u32, j)).sum();
-                assert_eq!(models, expect, "n={n} k={k}");
-            }
-        }
-    }
-
-    fn binom(n: u32, k: u32) -> u32 {
-        if k > n {
-            return 0;
-        }
-        let mut r = 1u32;
-        for i in 0..k {
-            r = r * (n - i) / (i + 1);
-        }
-        r
     }
 
     #[test]

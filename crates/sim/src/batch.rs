@@ -72,8 +72,8 @@ impl<'a> BatchSim<'a> {
         &self.levelization
     }
 
-    /// Shares the flattened topology with callers (fault simulation and
-    /// the block kernel reuse it).
+    /// Shares the flattened topology with callers (fault simulation
+    /// reuses it).
     pub fn table(&self) -> &SimTable {
         &self.table
     }

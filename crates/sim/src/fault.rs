@@ -26,6 +26,16 @@ impl FaultSite {
             FaultSite::Pin { gate, pin } => netlist.gate(gate).inputs[pin as usize],
         }
     }
+
+    /// The net where the fault effect enters the fanout cone: the net
+    /// itself for a stem fault, the reading gate's output for a branch
+    /// fault (the difference is born inside that gate).
+    pub fn effect_net(self, netlist: &Netlist) -> NetId {
+        match self {
+            FaultSite::Net(n) => n,
+            FaultSite::Pin { gate, .. } => netlist.gate(gate).output,
+        }
+    }
 }
 
 /// Transition polarity.

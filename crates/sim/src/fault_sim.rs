@@ -1,30 +1,19 @@
 //! PPSFP (parallel-pattern single-fault propagation) transition-fault
-//! simulation under launch-off-capture.
+//! simulation over 64-pattern word batches.
 //!
 //! Detection criterion (the standard transition-fault approximation): the
 //! pattern must *launch* the target transition at the fault site (frame 1
 //! value = initial, frame 2 good value = final) and the corresponding
 //! stuck-at-initial-value fault must propagate in frame 2 to an observed
 //! capture point (a D pin of an active-domain flop — primary outputs are
-//! not measured, per the paper's low-cost-tester setup).
+//! not measured, per the paper's low-cost-tester setup). Launch state and
+//! observability come from the shared two-frame model in [`crate::loc`].
 
-use crate::loc::{loc_frames_batch, los_frames_batch, BatchFrames};
+use crate::loc::{self, BatchFrames, LaunchMode, State2Src};
 use crate::sched::LevelQueue;
 use crate::Polarity;
 use crate::{BatchSim, FaultSite, TransitionFault};
-use scap_netlist::{ClockId, NetSource, Netlist};
-
-/// How the second frame of a transition-fault pattern is launched.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum LaunchMode {
-    /// Launch-off-capture (broadside): frame 2 is the combinational
-    /// response of the load (the paper's method).
-    Capture,
-    /// Launch-off-shift (skewed-load): frame 2 is the load shifted one
-    /// position along every scan chain, scan-in tied to 0. Needs an
-    /// at-speed scan-enable (paper §1.1).
-    Shift,
-}
+use scap_netlist::{ClockId, Netlist};
 
 /// Result of simulating a pattern batch against a fault list.
 #[derive(Clone, Debug, Default)]
@@ -61,14 +50,14 @@ impl DetectionSummary {
 #[derive(Debug)]
 pub struct TransitionFaultSim<'a> {
     batch: BatchSim<'a>,
-    active_clock: ClockId,
-    mode: LaunchMode,
+    /// Frame-2 state source per flop.
+    state2: Vec<State2Src>,
     /// Whether each net is a capture observation point.
     observed: Vec<bool>,
     /// Whether each net reaches an observed capture point through
-    /// combinational logic (reverse BFS from the observed nets). Faults
-    /// whose effect enters on a net outside this set can never be
-    /// detected and are skipped before launch-checking.
+    /// combinational logic ([`loc::observable_mask`]). Faults whose
+    /// effect enters on a net outside this set can never be detected and
+    /// are skipped before launch-checking.
     observable: Vec<bool>,
     /// Bucket count for the levelized scheduler (max net level + 1).
     num_levels: u32,
@@ -84,32 +73,10 @@ impl<'a> TransitionFaultSim<'a> {
     pub fn with_mode(netlist: &'a Netlist, active_clock: ClockId, mode: LaunchMode) -> Self {
         let batch = BatchSim::new(netlist);
         let lv = batch.levelization();
+        let points = loc::observation_points(netlist, active_clock);
         let mut observed = vec![false; netlist.num_nets()];
-        for f in netlist.flops() {
-            if f.clock == active_clock {
-                observed[f.d.index()] = true;
-            }
-        }
-        // Reverse BFS from the observed capture points through gate
-        // inputs. Forward diff propagation follows exactly the
-        // `fanout_gates` edges, so a fault seeded outside this closure
-        // can never reach an observed net.
-        let mut observable = observed.clone();
-        let mut stack: Vec<u32> = observable
-            .iter()
-            .enumerate()
-            .filter(|(_, &o)| o)
-            .map(|(i, _)| i as u32)
-            .collect();
-        while let Some(n) = stack.pop() {
-            if let Some(NetSource::Gate(g)) = netlist.net(scap_netlist::NetId::new(n)).source {
-                for &inp in &netlist.gate(g).inputs {
-                    if !observable[inp.index()] {
-                        observable[inp.index()] = true;
-                        stack.push(inp.raw());
-                    }
-                }
-            }
+        for n in &points {
+            observed[n.index()] = true;
         }
         // Net levels run from 0 (sources) to one past the deepest gate.
         let num_levels = lv
@@ -121,10 +88,9 @@ impl<'a> TransitionFaultSim<'a> {
             + 1;
         TransitionFaultSim {
             batch,
-            active_clock,
-            mode,
+            state2: loc::state2_sources(netlist, active_clock, mode),
             observed,
-            observable,
+            observable: loc::observable_mask(netlist, &points),
             num_levels,
         }
     }
@@ -134,18 +100,7 @@ impl<'a> TransitionFaultSim<'a> {
     /// yield an all-zero detect mask; callers may skip simulating them.
     #[inline]
     pub fn is_observable(&self, fault: TransitionFault) -> bool {
-        self.observable[self.effect_net(fault)]
-    }
-
-    /// The net where the fault effect enters the fanout cone: the net
-    /// itself for stem faults, the reading gate's output for branch
-    /// faults.
-    #[inline]
-    fn effect_net(&self, fault: TransitionFault) -> usize {
-        match fault.site {
-            FaultSite::Net(n) => n.index(),
-            FaultSite::Pin { gate, .. } => self.batch.netlist().gate(gate).output.index(),
-        }
+        self.observable[fault.site.effect_net(self.batch.netlist()).index()]
     }
 
     /// The underlying batch simulator (for callers that also need good
@@ -154,34 +109,16 @@ impl<'a> TransitionFaultSim<'a> {
         &self.batch
     }
 
-    /// The configured launch mode.
-    pub fn launch_mode(&self) -> LaunchMode {
-        self.mode
-    }
-
-    /// The active (at-speed) clock domain.
-    pub fn active_clock(&self) -> ClockId {
-        self.active_clock
-    }
-
-    /// Whether net `n` is an observed capture point.
-    #[inline]
-    pub(crate) fn observed_net(&self, n: usize) -> bool {
-        self.observed[n]
-    }
-
-    /// Scheduler bucket count (max net level + 1).
-    #[inline]
-    pub(crate) fn num_levels(&self) -> u32 {
-        self.num_levels
-    }
-
     /// Computes launch frames for a batch of up to 64 fully-specified
-    /// loads under the configured mode.
+    /// loads under the configured mode (launch-off-shift scans in 0).
     pub fn frames(&self, load: &[u64], pi: &[u64]) -> BatchFrames {
-        match self.mode {
-            LaunchMode::Capture => loc_frames_batch(&self.batch, load, pi, self.active_clock),
-            LaunchMode::Shift => los_frames_batch(&self.batch, load, pi, 0),
+        let frame1 = self.batch.eval(load, pi);
+        let state2 = loc::launch_state(&self.state2, load, &frame1, 0);
+        let frame2 = self.batch.eval(&state2, pi);
+        BatchFrames {
+            frame1,
+            frame2,
+            state2,
         }
     }
 
@@ -203,11 +140,6 @@ impl<'a> TransitionFaultSim<'a> {
     /// Like [`TransitionFaultSim::detect_batch`] but reuses caller-owned
     /// propagation buffers — avoids one diff-vector allocation per batch
     /// when grading many batches (e.g. one scratch per worker thread).
-    ///
-    /// A `valid_mask` with a single bit set (the ATPG drop-simulation
-    /// shape: one candidate pattern against many faults) takes a fast
-    /// path that skips building a [`crate::PatternBlock`], so no care
-    /// planes are allocated or filled for the degenerate one-lane case.
     pub fn detect_batch_with_scratch(
         &self,
         load: &[u64],
@@ -221,32 +153,18 @@ impl<'a> TransitionFaultSim<'a> {
         };
         let mut detections = 0u64;
         let mut skipped = 0u64;
-        if valid_mask.count_ones() == 1 {
-            let frames = self.frames(load, pi);
-            scap_obs::counter!("sim.block_evals").incr();
-            scap_obs::counter!("sim.patterns_per_block").incr();
-            for fault in faults {
-                if !self.is_observable(*fault) {
-                    skipped += 1;
-                    summary.detect_mask.push(0);
-                    continue;
-                }
-                let mask = self.detect_one(&frames, valid_mask, *fault, scratch);
-                detections += u64::from(mask != 0);
-                summary.detect_mask.push(mask);
+        let frames = self.frames(load, pi);
+        scap_obs::counter!("sim.block_evals").incr();
+        scap_obs::counter!("sim.patterns_per_block").add(u64::from(valid_mask.count_ones()));
+        for fault in faults {
+            if !self.is_observable(*fault) {
+                skipped += 1;
+                summary.detect_mask.push(0);
+                continue;
             }
-        } else {
-            let block = self.block_from_words(load, pi, valid_mask);
-            for fault in faults {
-                if !self.is_observable(*fault) {
-                    skipped += 1;
-                    summary.detect_mask.push(0);
-                    continue;
-                }
-                let mask = self.detect_block(&block, *fault, scratch);
-                detections += u64::from(mask != 0);
-                summary.detect_mask.push(mask);
-            }
+            let mask = self.detect_one(&frames, valid_mask, *fault, scratch);
+            detections += u64::from(mask != 0);
+            summary.detect_mask.push(mask);
         }
         scap_obs::counter!("sim.fault_sim_batches").incr();
         scap_obs::counter!("sim.fault_sim_checks").add(faults.len() as u64);
@@ -255,7 +173,11 @@ impl<'a> TransitionFaultSim<'a> {
         summary
     }
 
-    /// Detection mask of one fault against precomputed frames.
+    /// Detection mask of one fault against precomputed frames: the
+    /// valid lanes that launch the transition at the site *and*
+    /// propagate the frame-2 stuck-at difference to an observed capture
+    /// point. The one detection kernel — batch simulation, grading,
+    /// compaction and ATPG drop simulation all call it.
     pub fn detect_one(
         &self,
         frames: &BatchFrames,
@@ -263,16 +185,7 @@ impl<'a> TransitionFaultSim<'a> {
         fault: TransitionFault,
         scratch: &mut PropagationScratch,
     ) -> u64 {
-        if !self.observable[self.effect_net(fault)] {
-            return 0;
-        }
-        let site_net = fault.site.net(self.batch.netlist());
-        let v1 = frames.frame1[site_net.index()];
-        let v2 = frames.frame2[site_net.index()];
-        let launch = match fault.polarity {
-            Polarity::SlowToRise => !v1 & v2,
-            Polarity::SlowToFall => v1 & !v2,
-        } & valid_mask;
+        let launch = self.launch_mask(frames, valid_mask, fault);
         if launch == 0 {
             return 0;
         }
@@ -286,12 +199,28 @@ impl<'a> TransitionFaultSim<'a> {
         )
     }
 
+    /// The valid lanes that launch `fault`'s transition at its site (0
+    /// for an unobservable fault, which no lane can detect).
+    fn launch_mask(&self, frames: &BatchFrames, valid_mask: u64, fault: TransitionFault) -> u64 {
+        if !self.is_observable(fault) {
+            return 0;
+        }
+        let site_net = fault.site.net(self.batch.netlist());
+        let v1 = frames.frame1[site_net.index()];
+        let v2 = frames.frame2[site_net.index()];
+        let launched = match fault.polarity {
+            Polarity::SlowToRise => !v1 & v2,
+            Polarity::SlowToFall => v1 & !v2,
+        };
+        launched & valid_mask
+    }
+
     /// Seeds the fault effect and runs the level-ordered word propagation
     /// shared by [`TransitionFaultSim::detect_one`] and
     /// [`TransitionFaultSim::signature_one`]; `on_observed` sees each
     /// observed (net, diff) pair. `good2` is the fault-free frame-2 word
     /// plane the faulty machine is diffed against.
-    pub(crate) fn propagate_diff(
+    fn propagate_diff(
         &self,
         good2: &[u64],
         valid_mask: u64,
@@ -382,16 +311,7 @@ impl<'a> TransitionFaultSim<'a> {
     ) -> Vec<(scap_netlist::NetId, u64)> {
         // Same propagation as `detect_one`, collecting observed diffs
         // rather than OR-ing them together.
-        if !self.observable[self.effect_net(fault)] {
-            return Vec::new();
-        }
-        let site_net = fault.site.net(self.batch.netlist());
-        let v1 = frames.frame1[site_net.index()];
-        let v2 = frames.frame2[site_net.index()];
-        let launch = match fault.polarity {
-            Polarity::SlowToRise => !v1 & v2,
-            Polarity::SlowToFall => v1 & !v2,
-        } & valid_mask;
+        let launch = self.launch_mask(frames, valid_mask, fault);
         if launch == 0 {
             return Vec::new();
         }
@@ -418,13 +338,9 @@ impl<'a> TransitionFaultSim<'a> {
 #[derive(Debug, Default)]
 pub struct PropagationScratch {
     diff: Vec<u64>,
-    /// Care-plane diff words for the three-valued block kernel; only
-    /// grown by [`PropagationScratch::ensure3`], so purely two-valued
-    /// users never pay for the second plane.
-    diffc: Vec<u64>,
     diff_stamp: Vec<u32>,
     epoch: u32,
-    pub(crate) queue: LevelQueue,
+    queue: LevelQueue,
 }
 
 impl PropagationScratch {
@@ -432,14 +348,13 @@ impl PropagationScratch {
     pub fn new(num_nets: usize) -> Self {
         PropagationScratch {
             diff: vec![0; num_nets],
-            diffc: Vec::new(),
             diff_stamp: vec![0; num_nets],
             epoch: 0,
             queue: LevelQueue::new(),
         }
     }
 
-    pub(crate) fn ensure(&mut self, num_nets: usize, num_levels: usize, num_gates: usize) {
+    fn ensure(&mut self, num_nets: usize, num_levels: usize, num_gates: usize) {
         if self.diff.len() < num_nets {
             self.diff.resize(num_nets, 0);
             self.diff_stamp.resize(num_nets, 0);
@@ -447,16 +362,7 @@ impl PropagationScratch {
         self.queue.ensure(num_levels, num_gates);
     }
 
-    /// Like [`PropagationScratch::ensure`] but also sizes the care-diff
-    /// plane used by three-valued block propagation.
-    pub(crate) fn ensure3(&mut self, num_nets: usize, num_levels: usize, num_gates: usize) {
-        self.ensure(num_nets, num_levels, num_gates);
-        if self.diffc.len() < num_nets {
-            self.diffc.resize(num_nets, 0);
-        }
-    }
-
-    pub(crate) fn reset(&mut self) {
+    fn reset(&mut self) {
         if self.epoch == u32::MAX {
             self.diff_stamp.fill(0);
             self.epoch = 1;
@@ -467,7 +373,7 @@ impl PropagationScratch {
     }
 
     #[inline]
-    pub(crate) fn seed(&mut self, net: usize, mask: u64) {
+    fn seed(&mut self, net: usize, mask: u64) {
         if self.diff_stamp[net] != self.epoch {
             self.diff_stamp[net] = self.epoch;
             self.diff[net] = mask;
@@ -477,34 +383,11 @@ impl PropagationScratch {
     }
 
     #[inline]
-    pub(crate) fn diff(&self, net: usize) -> u64 {
+    fn diff(&self, net: usize) -> u64 {
         if self.diff_stamp[net] == self.epoch {
             self.diff[net]
         } else {
             0
-        }
-    }
-
-    /// Stores a (value-diff, care-diff) pair for `net` this epoch.
-    #[inline]
-    pub(crate) fn seed3(&mut self, net: usize, dv: u64, dc: u64) {
-        if self.diff_stamp[net] != self.epoch {
-            self.diff_stamp[net] = self.epoch;
-            self.diff[net] = dv;
-            self.diffc[net] = dc;
-        } else {
-            self.diff[net] |= dv;
-            self.diffc[net] |= dc;
-        }
-    }
-
-    /// The (value-diff, care-diff) pair of `net` this epoch.
-    #[inline]
-    pub(crate) fn diff3(&self, net: usize) -> (u64, u64) {
-        if self.diff_stamp[net] == self.epoch {
-            (self.diff[net], self.diffc[net])
-        } else {
-            (0, 0)
         }
     }
 }

@@ -5,10 +5,15 @@
 //!
 //! * [`LogicSim`] — levelized three-valued (`0/1/X`) zero-delay simulation,
 //!   with optional fault injection (used by the ATPG engine),
-//! * [`loc`] — launch-off-capture / launch-off-shift two-frame semantics,
+//! * [`loc`] — the two-frame transition-fault model every engine shares:
+//!   the launch rule ([`loc::state2_sources`] / [`loc::launch_state`] for
+//!   launch-off-capture and launch-off-shift) and the observability map
+//!   ([`loc::observation_points`] / [`loc::observable_mask`]),
 //! * [`BatchSim`] — 64-way bit-parallel good-machine simulation,
 //! * [`TransitionFaultSim`] — PPSFP transition-delay-fault simulation with
-//!   fault dropping (drives coverage curves and dynamic compaction),
+//!   fault dropping (drives coverage curves and dynamic compaction); its
+//!   [`TransitionFaultSim::detect_one`] over [`loc::BatchFrames`] is the
+//!   one detection kernel,
 //! * [`EventSim`] — event-driven gate-level timing simulation producing a
 //!   [`ToggleTrace`] (the VCD substitute) and the per-pattern switching
 //!   time window (STW) that defines SCAP.
@@ -37,7 +42,6 @@
 #![warn(missing_debug_implementations)]
 
 mod batch;
-mod block;
 mod event;
 mod fault;
 mod fault_sim;
@@ -47,10 +51,10 @@ mod sched;
 mod table;
 
 pub use batch::BatchSim;
-pub use block::{eval_word3, pack_logic, unpack_lane, PatternBlock, Vc};
 pub use event::{EventSim, ToggleEvent, ToggleTrace};
 pub use fault::{CollapseMap, FaultList, FaultSite, Polarity, TransitionFault};
-pub use fault_sim::{DetectionSummary, LaunchMode, PropagationScratch, TransitionFaultSim};
+pub use fault_sim::{DetectionSummary, PropagationScratch, TransitionFaultSim};
+pub use loc::LaunchMode;
 pub use logic_sim::{Injection, LogicSim};
 pub use sched::LevelQueue;
 pub use table::SimTable;

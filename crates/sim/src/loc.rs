@@ -1,21 +1,161 @@
-//! Launch-off-capture (broadside) and launch-off-shift two-frame semantics.
+//! The two-frame transition-fault model: what the launch edge loads and
+//! where a fault's effect can be observed.
 //!
-//! A transition-fault pattern is a pair `(V1, V2)`:
+//! A transition-fault pattern is a pair `(V1, V2)`. `V1` is the scan
+//! load; `V2`'s flop state is set by the launch edge, per flop, as one
+//! [`State2Src`]:
 //!
-//! * **Launch-off-capture** (the paper's method, [`loc_frames`]): `V1` is
-//!   the scan load; the launch clock captures the combinational response,
-//!   so `V2`'s state is the next-state function applied to `V1`. Only the
-//!   flops of the *active clock domain* are pulsed — the rest hold their
-//!   loaded value (the paper generates patterns per clock domain).
-//! * **Launch-off-shift** ([`los_frames`]): `V2`'s state is `V1` shifted by
-//!   one position along each scan chain, with the scan-in value entering at
-//!   the head.
+//! * **Launch-off-capture** ([`LaunchMode::Capture`], the paper's
+//!   method): the launch clock captures the combinational response, so
+//!   active-domain flops take their frame-1 D value. Only the flops of
+//!   the *active clock domain* are pulsed — the rest hold their loaded
+//!   value (the paper generates patterns per clock domain).
+//! * **Launch-off-shift** ([`LaunchMode::Shift`]): `V2`'s state is `V1`
+//!   shifted by one position along each scan chain, with the scan-in
+//!   value entering at the head. Flops without a scan role hold their
+//!   load.
 //!
-//! Primary inputs are held constant across both frames and primary outputs
-//! are not observed (low-cost tester constraints, paper §2.4).
+//! [`state2_sources`] derives the per-flop sources once per engine and
+//! [`launch_state`] applies them to any value type, so PODEM's
+//! three-valued planes, the SAT encoder, the bit-parallel fault
+//! simulator and the event-driven analyzer share one launch rule.
+//! [`observation_points`] and [`observable_mask`] are the matching
+//! capture side: the D nets of active-domain flops and the nets that
+//! structurally reach one.
+//!
+//! Primary inputs are held constant across both frames and primary
+//! outputs are not observed (low-cost tester constraints, paper §2.4).
 
 use crate::{BatchSim, LogicSim};
-use scap_netlist::{ClockId, Logic, Netlist};
+use scap_netlist::{ClockId, Logic, NetId, NetSource, Netlist};
+
+/// How the second frame of a transition-fault pattern is launched.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum LaunchMode {
+    /// Launch-off-capture (broadside): frame 2 is the combinational
+    /// response of the load (the paper's method).
+    Capture,
+    /// Launch-off-shift (skewed-load): frame 2 is the load shifted one
+    /// position along every scan chain, scan-in tied to 0. Needs an
+    /// at-speed scan-enable (paper §1.1).
+    Shift,
+}
+
+/// Where a flop's frame-2 (launch) state comes from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum State2Src {
+    /// Launch-off-capture, active domain: captures frame 1's D value.
+    FromD(NetId),
+    /// Holds its own scan-load value (inactive domain / unstitched).
+    Hold,
+    /// Launch-off-shift: takes the upstream scan cell's load.
+    LoadOf(u32),
+    /// Launch-off-shift chain head: the scan-in value.
+    ScanIn,
+}
+
+impl State2Src {
+    /// The launch value of flop `flop` whose source this is, given the
+    /// scan load, the frame-1 net values and the scan-in value.
+    #[inline]
+    pub fn value<T: Copy>(self, flop: usize, load: &[T], frame1: &[T], scan_in: T) -> T {
+        match self {
+            State2Src::FromD(d) => frame1[d.index()],
+            State2Src::Hold => load[flop],
+            State2Src::LoadOf(j) => load[j as usize],
+            State2Src::ScanIn => scan_in,
+        }
+    }
+}
+
+/// Frame-2 state source per flop for one clock domain and launch mode.
+///
+/// Under launch-off-shift each stitched flop reads the flop at the next
+/// lower position of its chain; the lowest position of a chain is its
+/// head and takes the scan-in value.
+pub fn state2_sources(
+    netlist: &Netlist,
+    active_clock: ClockId,
+    mode: LaunchMode,
+) -> Vec<State2Src> {
+    let flops = netlist.flops();
+    match mode {
+        LaunchMode::Capture => flops
+            .iter()
+            .map(|f| {
+                if f.clock == active_clock {
+                    State2Src::FromD(f.d)
+                } else {
+                    State2Src::Hold
+                }
+            })
+            .collect(),
+        LaunchMode::Shift => {
+            let mut stitched: Vec<(u16, u32, u32)> = flops
+                .iter()
+                .enumerate()
+                .filter_map(|(i, f)| f.scan.map(|r| (r.chain, r.position, i as u32)))
+                .collect();
+            stitched.sort_unstable();
+            let mut src = vec![State2Src::Hold; flops.len()];
+            let mut prev: Option<(u16, u32)> = None;
+            for &(chain, _, flop) in &stitched {
+                src[flop as usize] = match prev {
+                    Some((up_chain, up)) if up_chain == chain => State2Src::LoadOf(up),
+                    _ => State2Src::ScanIn,
+                };
+                prev = Some((chain, flop));
+            }
+            src
+        }
+    }
+}
+
+/// Frame-2 flop state: [`State2Src::value`] of every flop. Works on any
+/// value plane — `Logic` for three-valued frames, `u64` words for 64
+/// patterns at once.
+pub fn launch_state<T: Copy>(src: &[State2Src], load: &[T], frame1: &[T], scan_in: T) -> Vec<T> {
+    src.iter()
+        .enumerate()
+        .map(|(i, s)| s.value(i, load, frame1, scan_in))
+        .collect()
+}
+
+/// Observation points of one clock domain: the D nets of its capture
+/// flops.
+pub fn observation_points(netlist: &Netlist, active_clock: ClockId) -> Vec<NetId> {
+    netlist
+        .flops()
+        .iter()
+        .filter(|f| f.clock == active_clock)
+        .map(|f| f.d)
+        .collect()
+}
+
+/// Per-net "can structurally reach an observation point" mask (backward
+/// reachability over gate inputs). Fault effects only ever travel along
+/// gate fanout, so a fault whose [effect net] falls outside the mask is
+/// untestable without any search or simulation.
+///
+/// [effect net]: crate::FaultSite::effect_net
+pub fn observable_mask(netlist: &Netlist, observed: &[NetId]) -> Vec<bool> {
+    let mut observable = vec![false; netlist.num_nets()];
+    for n in observed {
+        observable[n.index()] = true;
+    }
+    let mut work: Vec<u32> = observed.iter().map(|n| n.raw()).collect();
+    while let Some(ni) = work.pop() {
+        if let Some(NetSource::Gate(g)) = netlist.net(NetId::new(ni)).source {
+            for &inp in &netlist.gate(g).inputs {
+                if !observable[inp.index()] {
+                    observable[inp.index()] = true;
+                    work.push(inp.raw());
+                }
+            }
+        }
+    }
+    observable
+}
 
 /// The two stable frames of a broadside (LOC) pattern, three-valued.
 #[derive(Clone, Debug)]
@@ -39,118 +179,11 @@ pub fn loc_frames(
     pi: &[Logic],
     active_clock: ClockId,
 ) -> Frames {
-    let netlist = sim.netlist();
+    let src = state2_sources(sim.netlist(), active_clock, LaunchMode::Capture);
     let frame1 = sim.eval(load, pi, None);
-    let state2 = next_state_masked(netlist, load, &frame1, active_clock);
+    let state2 = launch_state(&src, load, &frame1, Logic::Zero);
     let frame2 = sim.eval(&state2, pi, None);
     Frames {
-        frame1,
-        frame2,
-        state2,
-    }
-}
-
-/// Computes LOS frames: frame 2's state is frame 1's state shifted one
-/// position down every scan chain (scan-enable held through launch).
-///
-/// `scan_in` supplies the bit entering each chain head. Flops without a
-/// scan role hold their value.
-pub fn los_frames(sim: &LogicSim<'_>, load: &[Logic], pi: &[Logic], scan_in: Logic) -> Frames {
-    let netlist = sim.netlist();
-    let frame1 = sim.eval(load, pi, None);
-    let state2 = shift_state(netlist, load, scan_in);
-    let frame2 = sim.eval(&state2, pi, None);
-    Frames {
-        frame1,
-        frame2,
-        state2,
-    }
-}
-
-/// Next state under a launch pulse restricted to one clock domain.
-pub fn next_state_masked(
-    netlist: &Netlist,
-    load: &[Logic],
-    frame1: &[Logic],
-    active_clock: ClockId,
-) -> Vec<Logic> {
-    netlist
-        .flops()
-        .iter()
-        .enumerate()
-        .map(|(i, f)| {
-            if f.clock == active_clock {
-                frame1[f.d.index()]
-            } else {
-                load[i]
-            }
-        })
-        .collect()
-}
-
-/// One-position scan shift of the load along every chain.
-pub fn shift_state(netlist: &Netlist, load: &[Logic], scan_in: Logic) -> Vec<Logic> {
-    // For each flop with scan role (chain c, position p): new value = value
-    // of the flop at (c, p-1), or scan_in for p = 0.
-    let mut by_chain: Vec<Vec<(u32, usize)>> = Vec::new();
-    for (i, f) in netlist.flops().iter().enumerate() {
-        if let Some(role) = f.scan {
-            let c = role.chain as usize;
-            if by_chain.len() <= c {
-                by_chain.resize(c + 1, Vec::new());
-            }
-            by_chain[c].push((role.position, i));
-        }
-    }
-    let mut out = load.to_vec();
-    for chain in &mut by_chain {
-        chain.sort_unstable();
-        for w in (0..chain.len()).rev() {
-            let (_, flop) = chain[w];
-            out[flop] = if w == 0 {
-                scan_in
-            } else {
-                load[chain[w - 1].1]
-            };
-        }
-    }
-    out
-}
-
-/// Bit-parallel one-position scan shift (LOS launch) of load words.
-pub fn shift_state_words(netlist: &Netlist, load: &[u64], scan_in: u64) -> Vec<u64> {
-    let mut by_chain: Vec<Vec<(u32, usize)>> = Vec::new();
-    for (i, f) in netlist.flops().iter().enumerate() {
-        if let Some(role) = f.scan {
-            let c = role.chain as usize;
-            if by_chain.len() <= c {
-                by_chain.resize(c + 1, Vec::new());
-            }
-            by_chain[c].push((role.position, i));
-        }
-    }
-    let mut out = load.to_vec();
-    for chain in &mut by_chain {
-        chain.sort_unstable();
-        for w in (0..chain.len()).rev() {
-            let (_, flop) = chain[w];
-            out[flop] = if w == 0 {
-                scan_in
-            } else {
-                load[chain[w - 1].1]
-            };
-        }
-    }
-    out
-}
-
-/// Bit-parallel LOS frames for fully-specified pattern batches.
-pub fn los_frames_batch(sim: &BatchSim<'_>, load: &[u64], pi: &[u64], scan_in: u64) -> BatchFrames {
-    let netlist = sim.netlist();
-    let frame1 = sim.eval(load, pi);
-    let state2 = shift_state_words(netlist, load, scan_in);
-    let frame2 = sim.eval(&state2, pi);
-    BatchFrames {
         frame1,
         frame2,
         state2,
@@ -158,7 +191,8 @@ pub fn los_frames_batch(sim: &BatchSim<'_>, load: &[u64], pi: &[u64], scan_in: u
 }
 
 /// Bit-parallel two-frame values for fully-specified pattern batches
-/// (produced by [`loc_frames_batch`] or [`los_frames_batch`]).
+/// (produced by [`loc_frames_batch`] or
+/// [`crate::TransitionFaultSim::frames`]).
 #[derive(Clone, Debug)]
 pub struct BatchFrames {
     /// Net words in frame 1.
@@ -176,20 +210,9 @@ pub fn loc_frames_batch(
     pi: &[u64],
     active_clock: ClockId,
 ) -> BatchFrames {
-    let netlist = sim.netlist();
+    let src = state2_sources(sim.netlist(), active_clock, LaunchMode::Capture);
     let frame1 = sim.eval(load, pi);
-    let state2: Vec<u64> = netlist
-        .flops()
-        .iter()
-        .enumerate()
-        .map(|(i, f)| {
-            if f.clock == active_clock {
-                frame1[f.d.index()]
-            } else {
-                load[i]
-            }
-        })
-        .collect();
+    let state2 = launch_state(&src, load, &frame1, 0);
     let frame2 = sim.eval(&state2, pi);
     BatchFrames {
         frame1,
@@ -201,7 +224,7 @@ pub fn loc_frames_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scap_netlist::{CellKind, ClockEdge, NetlistBuilder, ScanRole};
+    use scap_netlist::{CellKind, ClockEdge, FlopId, NetlistBuilder, ScanRole};
 
     /// Two domains: ff0 (clka) toggles itself through an inverter; ff1
     /// (clkb) also fed by an inverter from its own Q.
@@ -221,6 +244,12 @@ mod tests {
         b.add_flop("ff1", d1, q1, clkb, ClockEdge::Rising, blk)
             .unwrap();
         b.finish().unwrap()
+    }
+
+    /// Launch-off-shift state of a three-valued load.
+    fn shifted(n: &Netlist, load: &[Logic], scan_in: Logic) -> Vec<Logic> {
+        let src = state2_sources(n, ClockId::new(0), LaunchMode::Shift);
+        launch_state(&src, load, &[], scan_in)
     }
 
     #[test]
@@ -248,31 +277,33 @@ mod tests {
     fn los_shifts_along_chain() {
         let mut n = two_domain();
         n.set_scan_role(
-            scap_netlist::FlopId::new(0),
+            FlopId::new(0),
             ScanRole {
                 chain: 0,
                 position: 0,
             },
         );
         n.set_scan_role(
-            scap_netlist::FlopId::new(1),
+            FlopId::new(1),
             ScanRole {
                 chain: 0,
                 position: 1,
             },
         );
-        let sim = LogicSim::new(&n);
-        let frames = los_frames(&sim, &[Logic::One, Logic::Zero], &[], Logic::Zero);
         // position 0 gets scan_in (0), position 1 gets old position 0 (1).
-        assert_eq!(frames.state2, vec![Logic::Zero, Logic::One]);
+        assert_eq!(
+            shifted(&n, &[Logic::One, Logic::Zero], Logic::Zero),
+            vec![Logic::Zero, Logic::One]
+        );
     }
 
     #[test]
     fn los_without_scan_roles_holds_state() {
         let n = two_domain();
-        let sim = LogicSim::new(&n);
-        let frames = los_frames(&sim, &[Logic::One, Logic::Zero], &[], Logic::One);
-        assert_eq!(frames.state2, vec![Logic::One, Logic::Zero]);
+        assert_eq!(
+            shifted(&n, &[Logic::One, Logic::Zero], Logic::One),
+            vec![Logic::One, Logic::Zero]
+        );
     }
 
     #[test]

@@ -1,25 +1,35 @@
-//! Differential tests of the word-packed (PPSFP) block kernel.
+//! Differential tests of the word-packed (PPSFP) detection kernel.
 //!
-//! [`TransitionFaultSim::detect_block`] grades 64 patterns per gate
-//! evaluation; these properties pin it, lane for lane, to the scalar
-//! three-valued machinery ([`LogicSim`] with fault injection) on
-//! randomized netlists, faults and pattern blocks — including partially
-//! filled final blocks, where stale lanes must never leak into a
-//! detection mask, and partially specified patterns, where X bits must
-//! behave exactly like the scalar Kleene evaluator.
+//! [`TransitionFaultSim::detect_batch_with_scratch`] grades up to 64
+//! fully specified patterns per gate evaluation; these properties pin
+//! it, lane for lane, to the scalar three-valued machinery ([`LogicSim`]
+//! with fault injection) on randomized, randomly and partially stitched
+//! netlists under both launch modes — including partially filled final
+//! batches, where stale lanes must never leak into a detection mask.
+//!
+//! The scalar oracle derives the launch state itself: the active domain's
+//! D values for launch-off-capture, and for launch-off-shift the load of
+//! the next lower [`ScanRole`] position of the same chain (scan-in 0 at
+//! the head, unstitched flops hold). It never calls
+//! `loc::state2_sources`, so the shared launch rule keeps an independent
+//! check.
 
 use proptest::prelude::*;
-use scap_netlist::{CellKind, ClockEdge, ClockId, Logic, NetId, Netlist, NetlistBuilder};
+use rand::{Rng, SeedableRng};
+use scap_netlist::{
+    CellKind, ClockEdge, ClockId, FlopId, Logic, NetId, Netlist, NetlistBuilder, ScanRole,
+};
 use scap_sim::{
-    pack_logic, unpack_lane, FaultList, Injection, LogicSim, PropagationScratch, TransitionFault,
+    FaultList, Injection, LaunchMode, LogicSim, PropagationScratch, TransitionFault,
     TransitionFaultSim,
 };
 
 /// Strategy: a random acyclic netlist (same shape as the scalar kernel
-/// equivalence tests: chains, dead cones, mixing gates).
+/// equivalence tests: chains, dead cones, mixing gates) whose flops are
+/// randomly stitched into up to two scan chains — some flops stay
+/// unstitched, and positions leave gaps and run out of flop order.
 fn arb_netlist(max_gates: usize) -> impl Strategy<Value = Netlist> {
     (2usize..6, 5usize..max_gates.max(6), any::<u64>()).prop_map(|(n_ff, n_gates, seed)| {
-        use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut b = NetlistBuilder::new("blk");
         let blk = b.add_block("B1");
@@ -54,164 +64,190 @@ fn arb_netlist(max_gates: usize) -> impl Strategy<Value = Netlist> {
             b.add_flop(format!("ff{i}"), d, q, clk, ClockEdge::Rising, blk)
                 .unwrap();
         }
-        b.finish().unwrap()
+        let mut n = b.finish().unwrap();
+        // Stitch a random subset in a random order.
+        let mut order: Vec<usize> = (0..n_ff).collect();
+        for i in (1..n_ff).rev() {
+            order.swap(i, rng.gen_range(0..i + 1));
+        }
+        let mut next_pos = [0u32; 2];
+        for f in order {
+            if rng.gen_range(0..3) == 0 {
+                continue;
+            }
+            let chain = rng.gen_range(0..2usize);
+            next_pos[chain] += rng.gen_range(1..3u32);
+            let role = ScanRole {
+                chain: chain as u16,
+                position: next_pos[chain],
+            };
+            n.set_scan_role(FlopId::new(f as u32), role);
+        }
+        n
     })
 }
 
-/// Scalar launch-off-capture detection of one fault under one
-/// three-valued pattern, built from [`LogicSim`] alone: launch check on
-/// the site net, faulty frame 2 via injection of the pre-transition
-/// value, detection where a capture flop's D net is known on both
-/// machines and differs.
-fn scalar_detect_lane(
+/// Frame-2 flop state of one three-valued pattern, derived from the
+/// netlist alone.
+fn oracle_state2(
     n: &Netlist,
-    sim: &LogicSim,
+    mode: LaunchMode,
     active: ClockId,
     load: &[Logic],
-    pi: &[Logic],
-    fault: TransitionFault,
-) -> bool {
-    let v1 = sim.eval(load, pi, None);
-    let mut st = Vec::with_capacity(n.num_flops());
-    for (i, f) in n.flops().iter().enumerate() {
-        st.push(if f.clock == active {
-            v1[f.d.index()]
-        } else {
-            load[i]
-        });
-    }
-    let good2 = sim.eval(&st, pi, None);
-    let site = fault.site.net(n).index();
-    let v_init = Logic::from_bool(fault.polarity.initial_value());
-    let v_final = Logic::from_bool(fault.polarity.final_value());
-    if v1[site] != v_init || good2[site] != v_final {
-        return false;
-    }
-    let faulty2 = sim.eval(
-        &st,
-        pi,
-        Some(Injection {
-            site: fault.site,
-            value: v_init,
-        }),
-    );
-    n.flops().iter().any(|f| {
-        let d = f.d.index();
-        f.clock == active
-            && good2[d] != Logic::X
-            && faulty2[d] != Logic::X
-            && good2[d] != faulty2[d]
-    })
-}
-
-/// A random three-valued pattern; `x_free` forces full specification
-/// (the fast two-valued block path).
-fn rand_pattern(rng: &mut impl rand::Rng, width: usize, x_free: bool) -> Vec<Logic> {
-    (0..width)
-        .map(|_| {
-            if !x_free && rng.gen_range(0..4) == 0 {
-                Logic::X
-            } else if rng.gen() {
-                Logic::One
-            } else {
-                Logic::Zero
-            }
+    frame1: &[Logic],
+) -> Vec<Logic> {
+    let flops = n.flops();
+    (0..flops.len())
+        .map(|i| match mode {
+            LaunchMode::Capture if flops[i].clock == active => frame1[flops[i].d.index()],
+            LaunchMode::Capture => load[i],
+            LaunchMode::Shift => match flops[i].scan {
+                None => load[i],
+                Some(role) => flops
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(j, g)| g.scan.map(|r| (r, j)))
+                    .filter(|(r, _)| r.chain == role.chain && r.position < role.position)
+                    .max_by_key(|(r, _)| r.position)
+                    .map_or(Logic::Zero, |(_, j)| load[j]),
+            },
         })
         .collect()
+}
+
+/// One pattern's fault-free frames, built from [`LogicSim`] alone.
+struct ScalarLane {
+    pi: Vec<Logic>,
+    state2: Vec<Logic>,
+    frame1: Vec<Logic>,
+    good2: Vec<Logic>,
+}
+
+impl ScalarLane {
+    fn new(
+        n: &Netlist,
+        sim: &LogicSim,
+        mode: LaunchMode,
+        active: ClockId,
+        load: Vec<Logic>,
+        pi: Vec<Logic>,
+    ) -> Self {
+        let frame1 = sim.eval(&load, &pi, None);
+        let state2 = oracle_state2(n, mode, active, &load, &frame1);
+        let good2 = sim.eval(&state2, &pi, None);
+        ScalarLane {
+            pi,
+            state2,
+            frame1,
+            good2,
+        }
+    }
+
+    /// Scalar detection of one fault: launch check on the site net,
+    /// faulty frame 2 via injection of the pre-transition value,
+    /// detection where a capture flop's D net is known on both machines
+    /// and differs.
+    fn detects(
+        &self,
+        n: &Netlist,
+        sim: &LogicSim,
+        active: ClockId,
+        fault: TransitionFault,
+    ) -> bool {
+        let site = fault.site.net(n).index();
+        let v_init = Logic::from_bool(fault.polarity.initial_value());
+        let v_final = Logic::from_bool(fault.polarity.final_value());
+        if self.frame1[site] != v_init || self.good2[site] != v_final {
+            return false;
+        }
+        let faulty2 = sim.eval(
+            &self.state2,
+            &self.pi,
+            Some(Injection {
+                site: fault.site,
+                value: v_init,
+            }),
+        );
+        n.flops().iter().any(|f| {
+            let d = f.d.index();
+            f.clock == active
+                && self.good2[d] != Logic::X
+                && faulty2[d] != Logic::X
+                && self.good2[d] != faulty2[d]
+        })
+    }
+}
+
+/// Lane `p` of packed words as a `Logic` vector.
+fn lane(words: &[u64], p: usize) -> Vec<Logic> {
+    words.iter().map(|w| Logic::from(w >> p & 1 == 1)).collect()
+}
+
+fn launch_mode(shift: bool) -> LaunchMode {
+    if shift {
+        LaunchMode::Shift
+    } else {
+        LaunchMode::Capture
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// `pack_logic` / `unpack_lane` round-trip: every packed lane reads
-    /// back exactly, stale lanes read back as all-X, and the planes are
-    /// canonical (no value bit without its care bit).
-    #[test]
-    fn pack_unpack_round_trips(
-        seed in any::<u64>(),
-        count in 1usize..=64,
-        width in 0usize..24,
-    ) {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let vecs: Vec<Vec<Logic>> = (0..count)
-            .map(|_| {
-                let x_free = rng.gen();
-                rand_pattern(&mut rng, width, x_free)
-            })
-            .collect();
-        let (val, care) = pack_logic(&vecs);
-        for (i, (&v, &c)) in val.iter().zip(&care).enumerate() {
-            prop_assert_eq!(v & !c, 0, "non-canonical plane word at {}", i);
-            if count < 64 {
-                let stale = !((1u64 << count) - 1);
-                prop_assert_eq!(c & stale, 0, "care set on a stale lane at {}", i);
-            }
-        }
-        for (p, vec) in vecs.iter().enumerate() {
-            prop_assert_eq!(&unpack_lane(&val, &care, p), vec, "lane {} mangled", p);
-        }
-        if count < 64 {
-            prop_assert_eq!(
-                unpack_lane(&val, &care, count),
-                vec![Logic::X; width],
-                "stale lane not all-X"
-            );
-        }
-    }
-
-    /// `detect_block` ≡ 64 scalar single-pattern detections, on random
-    /// netlists, the full fault universe and partially filled,
-    /// partially specified blocks. Stale lanes never appear in a mask.
+    /// `detect_batch_with_scratch` ≡ `count` scalar single-pattern
+    /// detections, on random netlists, the full fault universe and
+    /// partially filled batches whose stale lanes hold random bits. Stale
+    /// lanes never appear in a mask.
     #[test]
     fn block_kernel_matches_scalar_lanes(
         n in arb_netlist(20),
         seed in any::<u64>(),
         count in 1usize..=64,
-        x_free in any::<bool>(),
+        shift in any::<bool>(),
     ) {
-        use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let clka = ClockId::new(0);
-        let fsim = TransitionFaultSim::new(&n, clka);
+        let mode = launch_mode(shift);
+        let fsim = TransitionFaultSim::with_mode(&n, clka, mode);
         let sim = LogicSim::new(&n);
-        let loads: Vec<Vec<Logic>> =
-            (0..count).map(|_| rand_pattern(&mut rng, n.num_flops(), x_free)).collect();
-        let pis: Vec<Vec<Logic>> = (0..count)
-            .map(|_| rand_pattern(&mut rng, n.primary_inputs().len(), x_free))
-            .collect();
-        let block = fsim.block_from_logic(&loads, &pis);
-        prop_assert_eq!(block.count, count);
+        let load: Vec<u64> = (0..n.num_flops()).map(|_| rng.gen()).collect();
+        let pi: Vec<u64> = (0..n.primary_inputs().len()).map(|_| rng.gen()).collect();
+        let valid_mask = if count == 64 { !0 } else { (1u64 << count) - 1 };
+        let faults = FaultList::full(&n);
         let mut scratch = PropagationScratch::new(n.num_nets());
-        for &fault in FaultList::full(&n).faults() {
-            let mask = fsim.detect_block(&block, fault, &mut scratch);
+        let summary =
+            fsim.detect_batch_with_scratch(&load, &pi, valid_mask, faults.faults(), &mut scratch);
+        let lanes: Vec<ScalarLane> = (0..count)
+            .map(|p| ScalarLane::new(&n, &sim, mode, clka, lane(&load, p), lane(&pi, p)))
+            .collect();
+        for (&fault, &mask) in faults.faults().iter().zip(&summary.detect_mask) {
             prop_assert_eq!(
-                mask & !block.valid_mask, 0,
+                mask & !valid_mask, 0,
                 "stale lanes leaked into the mask of {:?}", fault
             );
-            for p in 0..count {
-                let scalar = scalar_detect_lane(&n, &sim, clka, &loads[p], &pis[p], fault);
+            for (p, scalar) in lanes.iter().enumerate() {
                 prop_assert_eq!(
                     mask >> p & 1 == 1,
-                    scalar,
-                    "lane {} of {:?} diverged (block mask {:#x})", p, fault, mask
+                    scalar.detects(&n, &sim, clka, fault),
+                    "{:?} lane {} of {:?} diverged (mask {:#x})", mode, p, fault, mask
                 );
             }
         }
     }
 
-    /// The single-pattern fast path of `detect_batch_with_scratch` (one
-    /// valid bit, no block build) returns exactly the corresponding lane
-    /// of the full-batch result, for every lane and every fault.
+    /// A single-lane `valid_mask` (the ATPG drop-simulation shape: one
+    /// candidate pattern against many faults) returns exactly the
+    /// corresponding lane of the full-batch result, for every lane and
+    /// every fault.
     #[test]
     fn sparse_masks_match_full_batch(
         n in arb_netlist(20),
         seed in any::<u64>(),
+        shift in any::<bool>(),
     ) {
-        use rand::{Rng as _, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let clka = ClockId::new(0);
-        let fsim = TransitionFaultSim::new(&n, clka);
+        let fsim = TransitionFaultSim::with_mode(&n, clka, launch_mode(shift));
         let faults = FaultList::full(&n);
         let load: Vec<u64> = (0..n.num_flops()).map(|_| rng.gen()).collect();
         let pi: Vec<u64> = (0..n.primary_inputs().len()).map(|_| rng.gen()).collect();

@@ -198,7 +198,8 @@ fn scan_shift_round_trip() {
     let loads: Vec<Logic> = (0..n.num_flops())
         .map(|i| Logic::from(i % 3 == 0))
         .collect();
-    let shifted = scap::sim::loc::shift_state(n, &loads, Logic::One);
+    let src = scap::sim::loc::state2_sources(n, s.clka(), LaunchMode::Shift);
+    let shifted = scap::sim::loc::launch_state(&src, &loads, &[], Logic::One);
     for f in n.flops() {
         let role = f.scan.expect("full scan");
         if role.position == 0 {

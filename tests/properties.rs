@@ -271,7 +271,12 @@ proptest! {
         let loads: Vec<Logic> = (0..n.num_flops())
             .map(|i| Logic::from(i % 2 == 0))
             .collect();
-        let shifted = scap::sim::loc::shift_state(&n, &loads, Logic::from(si));
+        let src = scap::sim::loc::state2_sources(
+            &n,
+            scap::netlist::ClockId::new(0),
+            scap::sim::LaunchMode::Shift,
+        );
+        let shifted = scap::sim::loc::launch_state(&src, &loads, &[], Logic::from(si));
         // Chain 0 holds all flops: position p takes position p-1's value.
         let mut by_pos: Vec<(u32, usize)> = n
             .flops()
