@@ -1,5 +1,5 @@
-//! The SAT-backed ATPG engine: a two-time-frame Tseitin CNF encoder
-//! over the levelized netlist plus a CDCL solve ([`scap_sat`]).
+//! The SAT-backed ATPG engine: a two-time-frame CNF encoder over the
+//! levelized netlist plus a CDCL solve ([`scap_sat`]).
 //!
 //! PODEM can only *abort* on hard faults — when its backtrack budget
 //! runs out it has proven nothing, and the aborted fault silently stays
@@ -24,9 +24,7 @@
 //!
 //! * **Frame 1** (scan load applied): flop Q nets alias their scan-load
 //!   variable, PI nets their held primary-input variable, and each gate
-//!   gets Tseitin clauses enumerated from [`CellKind::eval_bool`] — the
-//!   netlist's own truth tables are the oracle, so the encoder cannot
-//!   disagree with the simulator.
+//!   gets the clauses of its [`CellKind`]'s clause table.
 //! * **Frame 2, good machine**: flop Q variables alias per
 //!   [`State2Src`], the launch rule of [`scap_sim::loc`] that PODEM and
 //!   the fault simulator read too — active-domain flops read the frame-1
@@ -41,20 +39,49 @@
 //!   inside the gate — the same overlay discipline the PODEM scratch
 //!   keeps. Out-of-cone inputs read the good machine directly.
 //!
-//! Constraints: frame-1 site = initial value (launch), frame-2 good
-//! site = final value (excitation), and an OR over per-capture-flop
-//! difference indicators (detection). Existing care bits of the pattern
-//! being extended become unit clauses, which is what lets the generator
-//! drop a SAT test into its normal greedy compaction + fill + PPSFP
-//! drop-simulation path unchanged.
+//! **Gate clauses.** A cell's clause table is the set of *prime
+//! implicates* of `out ↔ kind(ins)`, enumerated once per [`CellKind`]
+//! in [`SatAtpg::new`] with [`CellKind::eval_bool`] as the oracle, so
+//! the encoder cannot disagree with the simulator. Unit propagation over
+//! all prime implicates of a function is complete for that function:
+//! one controlling input forces an AND's output without a decision
+//! (AND2 gets 3 clauses, AOI22 6, and MUX2 its two consensus clauses
+//! `a ∧ b → out`, `¬a ∧ ¬b → ¬out` on top of the four select cases).
+//!
+//! **Constraints.** Frame-1 site = initial value (launch) and frame-2
+//! good site = final value (excitation). Detection is encoded as
+//! *D-chains* (the active clauses of Larrabee, IEEE TCAD 1992, and
+//! TEGUS): every faulty-plane net `n` gets a difference variable `d_n`
+//! with
+//!
+//! * `d_n → (g_n ≠ f_n)` over its good and faulty frame-2 literals,
+//! * `d_n → ∨ d_s` over the successors `s` of `n` in the faulty plane,
+//!   unless `n` is an observation point (a capture flop's D net),
+//! * and the unit clause `d_e` at the [effect net] `e`.
+//!
+//! Any model therefore carries a chain of differing nets from `e` to a
+//! differing capture point, so it detects the fault. Conversely every
+//! detecting assignment extends to a model: a difference at a capture
+//! point traces back, through a differing input of each gate, to `e`
+//! (outside the cone the planes are equal), and setting `d` true along
+//! that path only satisfies every chain clause. The chains thus keep
+//! the verdict of the plain "some capture point differs" formula and
+//! only tell the solver that a fault effect travels along a path.
+//! Existing care bits of the pattern being extended become unit
+//! clauses, which is what lets the generator drop a SAT test into its
+//! normal greedy compaction + fill + PPSFP drop-simulation path
+//! unchanged.
 //!
 //! Clause emission walks [`Levelization::order`] once per plane, so the
-//! encoder is iterative — no recursion to overflow on deep logic.
+//! encoder is iterative — no recursion to overflow on deep logic. The
+//! `sat.encode` and `sat.search` spans split each `atpg.sat_solve` into
+//! building the formula and solving it.
 //!
 //! [`CellKind::eval_bool`]: scap_netlist::CellKind::eval_bool
+//! [effect net]: scap_sim::FaultSite::effect_net
 
 use scap_dft::TestPattern;
-use scap_netlist::{ClockId, GateId, Levelization, Logic, NetId, NetSource, Netlist};
+use scap_netlist::{CellKind, ClockId, GateId, Levelization, Logic, NetId, NetSource, Netlist};
 use scap_sat::{Lit, SolveResult, Solver, SolverStats};
 use scap_sim::loc::{self, State2Src};
 use scap_sim::{FaultSite, LaunchMode, TransitionFault};
@@ -72,6 +99,62 @@ pub enum SatOutcome {
     Unknown,
 }
 
+/// One clause of a cell's `out ↔ kind(ins)` relation. Bit `k < n` of
+/// `pos` / `neg` puts input pin `k` in the clause positively /
+/// negatively; bit `n` (the input count) stands for the output.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct GateClause {
+    pos: u8,
+    neg: u8,
+}
+
+impl GateClause {
+    /// Whether the row `bits` (same bit layout) satisfies the clause.
+    fn holds(self, bits: u8) -> bool {
+        bits & self.pos != 0 || !bits & self.neg != 0
+    }
+
+    /// Whether every literal of `self` is also in `other`.
+    fn subsumes(self, other: GateClause) -> bool {
+        self.pos & !other.pos == 0 && self.neg & !other.neg == 0
+    }
+}
+
+/// The prime implicates of `out ↔ kind(ins)`: every clause over the
+/// pins and the output that all rows of the truth table satisfy, and
+/// that no shorter such clause subsumes. Enumerates all 3^(k+1)
+/// clauses (k ≤ 4 inputs, so at most 243) against the
+/// [`CellKind::eval_bool`] rows.
+fn prime_implicates(kind: CellKind) -> Vec<GateClause> {
+    let k = kind.num_inputs();
+    let models: Vec<u8> = (0..1u8 << k)
+        .map(|row| {
+            let ins: Vec<bool> = (0..k).map(|b| row >> b & 1 == 1).collect();
+            row | u8::from(kind.eval_bool(&ins)) << k
+        })
+        .collect();
+    let implicates: Vec<GateClause> = (0..3usize.pow(k as u32 + 1))
+        .map(|code| {
+            let (mut c, mut code) = (GateClause { pos: 0, neg: 0 }, code);
+            for v in 0..=k {
+                match code % 3 {
+                    1 => c.pos |= 1 << v,
+                    2 => c.neg |= 1 << v,
+                    _ => {}
+                }
+                code /= 3;
+            }
+            c
+        })
+        .filter(|&c| models.iter().all(|&m| c.holds(m)))
+        .collect();
+    implicates
+        .iter()
+        .copied()
+        .filter(|&c| !implicates.iter().any(|&d| d != c && d.subsumes(c)))
+        .collect()
+}
+
 /// The SAT ATPG engine, reusable across the faults of one clock domain.
 #[derive(Debug)]
 pub struct SatAtpg<'a> {
@@ -80,12 +163,15 @@ pub struct SatAtpg<'a> {
     levels: Levelization,
     /// Frame-2 state source per flop (shared semantics with PODEM).
     state2: Vec<State2Src>,
-    /// Observation points: D nets of active-domain flops.
-    observed: Vec<NetId>,
+    /// Per net: an observation point (D net of an active-domain flop)?
+    observed: Vec<bool>,
     /// Per net: structurally reaches an observation point?
     observable: Vec<bool>,
     /// Per net: primary-input index, `u32::MAX` otherwise.
     pi_of_net: Vec<u32>,
+    /// Prime-implicate clause table per cell kind, indexed by
+    /// `kind as usize`.
+    gate_clauses: Vec<Vec<GateClause>>,
     /// Conflict budget per solve (`Unknown` past it).
     conflict_limit: u64,
 }
@@ -102,6 +188,8 @@ struct Encoder<'e, 'a> {
     g2: Vec<Option<Lit>>,
     /// Frame-2 faulty-machine literal per net (cone nets only).
     fb: Vec<Option<Lit>>,
+    /// D-chain difference literal per faulty-plane net.
+    diff: Vec<Option<Lit>>,
     /// Scan-load literal per flop (shared by both frames).
     load: Vec<Option<Lit>>,
     /// Primary-input literal per PI index (held across frames).
@@ -112,6 +200,10 @@ struct Encoder<'e, 'a> {
     need_fb: Vec<bool>,
     /// Fault-cone membership per net.
     cone: Vec<bool>,
+    /// Observation points inside the cone.
+    capture: Vec<NetId>,
+    /// Faulty-plane nets in encoding order: the D-chain nodes.
+    fb_nets: Vec<NetId>,
     /// Care bits of the pattern under extension (unit clauses).
     care_load: Vec<Logic>,
     care_pi: Vec<Logic>,
@@ -143,12 +235,15 @@ impl<'e, 'a> Encoder<'e, 'a> {
             f1: vec![None; n.num_nets()],
             g2: vec![None; n.num_nets()],
             fb: vec![None; n.num_nets()],
+            diff: vec![None; n.num_nets()],
             load: vec![None; n.num_flops()],
             pi: vec![None; n.primary_inputs().len()],
             need_f1: vec![false; n.num_nets()],
             need_g2: vec![false; n.num_nets()],
             need_fb: vec![false; n.num_nets()],
             cone: vec![false; n.num_nets()],
+            capture: Vec::new(),
+            fb_nets: Vec::new(),
             care_load: pattern.load.clone(),
             care_pi: pattern.pi.clone(),
             fault,
@@ -158,29 +253,23 @@ impl<'e, 'a> Encoder<'e, 'a> {
         enc
     }
 
-    /// Forward cone of the fault site: the only nets where good and
-    /// faulty machines can differ. Mirrors PODEM's cone tagging.
+    /// Forward cone of the fault's effect net: the only nets where good
+    /// and faulty machines can differ. Mirrors PODEM's cone tagging and
+    /// collects the in-cone observation points on the way.
     fn mark_cone(&mut self) {
         let n = self.eng.netlist;
-        let mut work: Vec<u32> = Vec::new();
-        match self.fault.site {
-            FaultSite::Net(net) => {
-                self.cone[net.index()] = true;
-                work.push(net.raw());
+        let root = self.fault.site.effect_net(n);
+        self.cone[root.index()] = true;
+        let mut work = vec![root];
+        while let Some(net) = work.pop() {
+            if self.eng.observed[net.index()] {
+                self.capture.push(net);
             }
-            FaultSite::Pin { gate, .. } => {
-                // The difference is born inside the reading gate.
-                let out = n.gate(gate).output;
-                self.cone[out.index()] = true;
-                work.push(out.raw());
-            }
-        }
-        while let Some(ni) = work.pop() {
-            for &g in n.fanout_gates(NetId::new(ni)) {
+            for &g in n.fanout_gates(net) {
                 let out = n.gate(g).output;
                 if !self.cone[out.index()] {
                     self.cone[out.index()] = true;
-                    work.push(out.raw());
+                    work.push(out);
                 }
             }
         }
@@ -225,6 +314,8 @@ impl<'e, 'a> Encoder<'e, 'a> {
                     if std::mem::replace(&mut self.need_fb[net.index()], true) {
                         continue;
                     }
+                    // Its D-chain variable compares both machines.
+                    work.push(Need::G2(net));
                     // The stem site is a pinned constant; every other
                     // cone net is gate-driven (the cone grows only
                     // through gate fanout).
@@ -370,30 +461,25 @@ impl<'e, 'a> Encoder<'e, 'a> {
         // A stem fault presents the pre-transition value in frame 2.
         let l = self.konst(self.v_init);
         self.fb[net.index()] = Some(l);
+        self.fb_nets.push(net);
         l
     }
 
-    /// Tseitin encoding of `out = kind(ins)` by truth-table
-    /// enumeration, one clause per input row, with
-    /// [`CellKind::eval_bool`](scap_netlist::CellKind::eval_bool) as
-    /// the function oracle (≤ 4 inputs on every library cell, so ≤ 16
-    /// clauses per gate).
-    fn emit_gate(&mut self, g: GateId, out: Lit, ins: &[Lit]) {
-        let kind = self.eng.netlist.gate(g).kind;
-        let k = ins.len();
-        let mut row = vec![false; k];
-        for m in 0..1usize << k {
-            for (b, r) in row.iter_mut().enumerate() {
-                *r = (m >> b) & 1 == 1;
+    /// Emits `out ↔ kind(ins)` as the kind's prime-implicate clauses.
+    fn emit_gate(&mut self, kind: CellKind, out: Lit, ins: &[Lit]) {
+        let mut clause = [out; 5];
+        for &c in &self.eng.gate_clauses[kind as usize] {
+            let mut len = 0;
+            for (b, &l) in ins.iter().chain([&out]).enumerate() {
+                if c.pos >> b & 1 == 1 {
+                    clause[len] = l;
+                    len += 1;
+                } else if c.neg >> b & 1 == 1 {
+                    clause[len] = !l;
+                    len += 1;
+                }
             }
-            let o = kind.eval_bool(&row);
-            let mut clause: Vec<Lit> = ins
-                .iter()
-                .zip(&row)
-                .map(|(&l, &r)| if r { !l } else { l })
-                .collect();
-            clause.push(if o { out } else { !out });
-            self.solver.add_clause(&clause);
+            self.solver.add_clause(&clause[..len]);
         }
     }
 
@@ -401,40 +487,40 @@ impl<'e, 'a> Encoder<'e, 'a> {
     /// per plane. Frame 1 goes first (frame-2 flop aliases read it),
     /// then the good frame 2, then the faulty overlay.
     fn encode_planes(&mut self) {
-        let order: Vec<GateId> = self.eng.levels.order().to_vec();
-        for &g in &order {
-            let out = self.eng.netlist.gate(g).output;
-            if !self.need_f1[out.index()] || self.f1[out.index()].is_some() {
+        let n = self.eng.netlist;
+        let order = self.eng.levels.order();
+        for &g in order {
+            let gate = n.gate(g);
+            if !self.need_f1[gate.output.index()] {
                 continue;
             }
-            let inputs = self.eng.netlist.gate(g).inputs.clone();
-            let ins: Vec<Lit> = inputs.iter().map(|&i| self.f1_lit(i)).collect();
+            let ins: Vec<Lit> = gate.inputs.iter().map(|&i| self.f1_lit(i)).collect();
             let ol = Lit::pos(self.solver.new_var());
-            self.f1[out.index()] = Some(ol);
-            self.emit_gate(g, ol, &ins);
+            self.f1[gate.output.index()] = Some(ol);
+            self.emit_gate(gate.kind, ol, &ins);
         }
-        for &g in &order {
-            let out = self.eng.netlist.gate(g).output;
-            if !self.need_g2[out.index()] || self.g2[out.index()].is_some() {
+        for &g in order {
+            let gate = n.gate(g);
+            if !self.need_g2[gate.output.index()] {
                 continue;
             }
-            let inputs = self.eng.netlist.gate(g).inputs.clone();
-            let ins: Vec<Lit> = inputs.iter().map(|&i| self.g2_lit(i)).collect();
+            let ins: Vec<Lit> = gate.inputs.iter().map(|&i| self.g2_lit(i)).collect();
             let ol = Lit::pos(self.solver.new_var());
-            self.g2[out.index()] = Some(ol);
-            self.emit_gate(g, ol, &ins);
+            self.g2[gate.output.index()] = Some(ol);
+            self.emit_gate(gate.kind, ol, &ins);
         }
-        for &g in &order {
-            let out = self.eng.netlist.gate(g).output;
-            if !self.need_fb[out.index()]
-                || self.fb[out.index()].is_some()
-                || self.fault.site == FaultSite::Net(out)
-            {
+        if let FaultSite::Net(site) = self.fault.site {
+            self.fb_lit(site);
+        }
+        for &g in order {
+            let gate = n.gate(g);
+            let out = gate.output;
+            if !self.need_fb[out.index()] || self.fault.site == FaultSite::Net(out) {
                 continue;
             }
-            let inputs = self.eng.netlist.gate(g).inputs.clone();
             let injected = self.injected_pin(g);
-            let ins: Vec<Lit> = inputs
+            let ins: Vec<Lit> = gate
+                .inputs
                 .iter()
                 .enumerate()
                 .map(|(k, &i)| {
@@ -447,8 +533,65 @@ impl<'e, 'a> Encoder<'e, 'a> {
                 .collect();
             let ol = Lit::pos(self.solver.new_var());
             self.fb[out.index()] = Some(ol);
-            self.emit_gate(g, ol, &ins);
+            self.fb_nets.push(out);
+            self.emit_gate(gate.kind, ol, &ins);
         }
+    }
+
+    /// The D-chains over the faulty plane: `d_n → (g_n ≠ f_n)` per net,
+    /// `d_n → ∨ d_succ` unless `n` is an observation point, and `d` at
+    /// the effect net.
+    fn encode_d_chains(&mut self) {
+        let n = self.eng.netlist;
+        let nets = std::mem::take(&mut self.fb_nets);
+        let mut ds = Vec::with_capacity(nets.len());
+        for &net in &nets {
+            let d = Lit::pos(self.solver.new_var());
+            self.diff[net.index()] = Some(d);
+            ds.push(d);
+            let (g, f) = (self.g2_lit(net), self.fb_lit(net));
+            self.solver.add_clause(&[!d, g, f]);
+            self.solver.add_clause(&[!d, !g, !f]);
+        }
+        let mut chain = Vec::new();
+        for (&net, &d) in nets.iter().zip(&ds) {
+            if self.eng.observed[net.index()] {
+                continue;
+            }
+            chain.clear();
+            chain.push(!d);
+            chain.extend(
+                n.fanout_gates(net)
+                    .iter()
+                    .filter_map(|&g| self.diff[n.gate(g).output.index()]),
+            );
+            self.solver.add_clause(&chain);
+        }
+        let effect = self.fault.site.effect_net(n);
+        let d = self.diff[effect.index()].expect("the effect net is in the faulty plane");
+        self.solver.add_clause(&[d]);
+    }
+
+    /// Builds the whole formula: support, the three planes, launch and
+    /// excitation at the site, and the D-chains.
+    fn encode(&mut self) {
+        let site = self.fault.site.net(self.eng.netlist);
+        let mut roots = vec![Need::F1(site), Need::G2(site)];
+        roots.extend(self.capture.iter().map(|&o| Need::Fb(o)));
+        self.mark_support(roots);
+        self.encode_planes();
+
+        // Launch: the site holds the pre-transition value in frame 1.
+        let launch = self.f1_lit(site);
+        let li = self.fault.polarity.initial_value();
+        self.solver.add_clause(&[if li { launch } else { !launch }]);
+
+        // Excitation: the good machine reaches the final value.
+        let excite = self.g2_lit(site);
+        let lf = self.fault.polarity.final_value();
+        self.solver.add_clause(&[if lf { excite } else { !excite }]);
+
+        self.encode_d_chains();
     }
 }
 
@@ -461,8 +604,12 @@ impl<'a> SatAtpg<'a> {
         mode: LaunchMode,
         conflict_limit: u64,
     ) -> Self {
-        let observed = loc::observation_points(netlist, active_clock);
-        let observable = loc::observable_mask(netlist, &observed);
+        let points = loc::observation_points(netlist, active_clock);
+        let observable = loc::observable_mask(netlist, &points);
+        let mut observed = vec![false; netlist.num_nets()];
+        for p in points {
+            observed[p.index()] = true;
+        }
         let mut pi_of_net = vec![u32::MAX; netlist.num_nets()];
         for (i, p) in netlist.primary_inputs().iter().enumerate() {
             pi_of_net[p.index()] = i as u32;
@@ -474,6 +621,7 @@ impl<'a> SatAtpg<'a> {
             observed,
             observable,
             pi_of_net,
+            gate_clauses: CellKind::ALL.map(prime_implicates).to_vec(),
             conflict_limit,
         }
     }
@@ -488,54 +636,21 @@ impl<'a> SatAtpg<'a> {
             return SatOutcome::Untestable;
         }
         let _span = scap_obs::span!("atpg.sat_solve");
-        let mut enc = Encoder::new(self, fault, pattern);
-
-        // Support: launch + excitation sites, plus both machines at
-        // every in-cone observation point.
-        let site = fault.site.net(self.netlist);
-        let mut roots = vec![Need::F1(site), Need::G2(site)];
-        let capture: Vec<NetId> = self
-            .observed
-            .iter()
-            .copied()
-            .filter(|o| enc.cone[o.index()])
-            .collect();
-        for &o in &capture {
-            roots.push(Need::G2(o));
-            roots.push(Need::Fb(o));
-        }
-        if capture.is_empty() {
-            // The observable pre-check makes this unreachable, but a
-            // formula with no detection disjunct must not be solved.
-            return SatOutcome::Untestable;
-        }
-        enc.mark_support(roots);
-        enc.encode_planes();
-
-        // Launch: the site holds the pre-transition value in frame 1.
-        let launch = enc.f1_lit(site);
-        let li = fault.polarity.initial_value();
-        enc.solver.add_clause(&[if li { launch } else { !launch }]);
-
-        // Excitation: the good machine reaches the final value.
-        let excite = enc.g2_lit(site);
-        let lf = fault.polarity.final_value();
-        enc.solver.add_clause(&[if lf { excite } else { !excite }]);
-
-        // Detection: some in-cone capture flop sees a good/faulty
-        // difference. d → (g ⊕ f); assert the OR of the d indicators.
-        let mut any: Vec<Lit> = Vec::new();
-        for &o in &capture {
-            let g = enc.g2_lit(o);
-            let f = enc.fb_lit(o);
-            let d = Lit::pos(enc.solver.new_var());
-            enc.solver.add_clause(&[!d, g, f]);
-            enc.solver.add_clause(&[!d, !g, !f]);
-            any.push(d);
-        }
-        enc.solver.add_clause(&any);
-
-        let result = enc.solver.solve();
+        let mut enc = {
+            let _encode = scap_obs::span!("sat.encode");
+            let mut enc = Encoder::new(self, fault, pattern);
+            if enc.capture.is_empty() {
+                // The observable pre-check makes this unreachable, but a
+                // formula with no capture point must not be solved.
+                return SatOutcome::Untestable;
+            }
+            enc.encode();
+            enc
+        };
+        let result = {
+            let _search = scap_obs::span!("sat.search");
+            enc.solver.solve()
+        };
         record_stats(enc.solver.stats());
         match result {
             SolveResult::Sat => {
@@ -638,6 +753,50 @@ mod tests {
         let before = p.clone();
         assert_eq!(sat.generate(f, &mut p), SatOutcome::Untestable);
         assert_eq!(p, before, "failed attempts must not touch the pattern");
+    }
+
+    /// Every cell kind's clause table, over all 2^(k+1) rows of its
+    /// pins and output: the models are exactly the rows where the output
+    /// equals `eval_bool` of the inputs, and every clause is prime —
+    /// dropping any one literal admits a row that is not a model.
+    #[test]
+    fn gate_clauses_are_the_prime_implicates() {
+        for kind in CellKind::ALL {
+            let k = kind.num_inputs();
+            let clauses = prime_implicates(kind);
+            let is_model = |bits: u8| {
+                let ins: Vec<bool> = (0..k).map(|b| bits >> b & 1 == 1).collect();
+                (bits >> k & 1 == 1) == kind.eval_bool(&ins)
+            };
+            for bits in 0..1u8 << (k + 1) {
+                assert_eq!(
+                    clauses.iter().all(|c| c.holds(bits)),
+                    is_model(bits),
+                    "{kind:?} row {bits:#b}"
+                );
+            }
+            for &c in &clauses {
+                assert_eq!(c.pos & c.neg, 0, "{kind:?} tautology {c:?}");
+                for lit in (0..=k)
+                    .map(|b| 1u8 << b)
+                    .filter(|m| (c.pos | c.neg) & m != 0)
+                {
+                    let shorter = GateClause {
+                        pos: c.pos & !lit,
+                        neg: c.neg & !lit,
+                    };
+                    assert!(
+                        (0..1u8 << (k + 1)).any(|bits| is_model(bits) && !shorter.holds(bits)),
+                        "{kind:?} clause {c:?} is not prime"
+                    );
+                }
+            }
+        }
+        let count = |kind| prime_implicates(kind).len();
+        assert_eq!(count(CellKind::And2), 3);
+        assert_eq!(count(CellKind::Aoi22), 6);
+        // The four select cases plus the two consensus clauses.
+        assert_eq!(count(CellKind::Mux2), 6);
     }
 
     #[test]

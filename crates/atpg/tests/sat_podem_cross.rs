@@ -12,6 +12,13 @@
 //!   simulator of the same launch mode,
 //! * the hybrid generator's pattern stream is bit-identical regardless
 //!   of the drop-simulation thread count.
+//!
+//! A third, engine-free oracle checks the SAT encoding itself: on netlists
+//! small enough to enumerate every scan load and primary-input value, the
+//! fault simulator finds a detecting assignment exactly when SAT answers
+//! `Test`. It catches an unsound clause (a D-chain that drops detections,
+//! a gate clause too weak or too strong), which an UNSAT proof checker
+//! cannot see.
 
 use proptest::prelude::*;
 use scap_dft::{FillPolicy, PatternBatch, TestPattern};
@@ -35,70 +42,144 @@ fn arb_netlist(max_gates: usize) -> impl Strategy<Value = Netlist> {
 /// into up to two scan chains, in random order with position gaps.
 fn arb_stitched_netlist(max_gates: usize) -> impl Strategy<Value = Netlist> {
     (2usize..6, 5usize..max_gates.max(6), any::<u64>()).prop_map(|(n_ff, n_gates, seed)| {
-        use rand::{Rng, SeedableRng};
         let mut n = random_netlist(n_ff, n_gates, seed);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed.rotate_left(17));
-        let mut order: Vec<u32> = (0..n_ff as u32).collect();
-        for i in (1..n_ff).rev() {
-            order.swap(i, rng.gen_range(0..i + 1));
-        }
-        let mut next_pos = [0u32; 2];
-        for f in order {
-            if rng.gen_range(0..3) == 0 {
-                continue;
-            }
-            let chain = rng.gen_range(0..2usize);
-            next_pos[chain] += rng.gen_range(1..3u32);
-            let role = ScanRole {
-                chain: chain as u16,
-                position: next_pos[chain],
-            };
-            n.set_scan_role(FlopId::new(f), role);
-        }
+        stitch(&mut n, seed);
         n
     })
 }
 
-fn random_netlist(n_ff: usize, n_gates: usize, seed: u64) -> Netlist {
-    {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut b = NetlistBuilder::new("cross");
-        let blk = b.add_block("B1");
-        let clk = b.add_clock_domain("clka", 100e6);
-        let mut pool = vec![b.add_primary_input("pi0"), b.add_primary_input("pi1")];
-        let qs: Vec<NetId> = (0..n_ff).map(|i| b.add_net(format!("q{i}"))).collect();
-        pool.extend(qs.iter().copied());
-        let kinds = [
-            CellKind::Nand2,
-            CellKind::Nor2,
-            CellKind::Xor2,
-            CellKind::And2,
-            CellKind::Or2,
-            CellKind::Buf,
-            CellKind::Inv,
-        ];
-        let mut outs = Vec::new();
-        for i in 0..n_gates {
-            let kind = kinds[rng.gen_range(0..kinds.len())];
-            let y = b.add_net(format!("w{i}"));
-            let a = pool[rng.gen_range(0..pool.len())];
-            if matches!(kind, CellKind::Buf | CellKind::Inv) {
-                b.add_gate(kind, &[a], y, blk).unwrap();
-            } else {
-                let c = pool[rng.gen_range(0..pool.len())];
-                b.add_gate(kind, &[a, c], y, blk).unwrap();
-            }
-            pool.push(y);
-            outs.push(y);
-        }
-        for (i, &q) in qs.iter().enumerate() {
-            let d = outs[rng.gen_range(0..outs.len())];
-            b.add_flop(format!("ff{i}"), d, q, clk, ClockEdge::Rising, blk)
-                .unwrap();
-        }
-        b.finish().unwrap()
+/// Stitches a random subset of `n`'s flops into up to two scan chains,
+/// in random order with position gaps.
+fn stitch(n: &mut Netlist, seed: u64) {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed.rotate_left(17));
+    let n_ff = n.num_flops();
+    let mut order: Vec<u32> = (0..n_ff as u32).collect();
+    for i in (1..n_ff).rev() {
+        order.swap(i, rng.gen_range(0..i + 1));
     }
+    let mut next_pos = [0u32; 2];
+    for f in order {
+        if rng.gen_range(0..3) == 0 {
+            continue;
+        }
+        let chain = rng.gen_range(0..2usize);
+        next_pos[chain] += rng.gen_range(1..3u32);
+        let role = ScanRole {
+            chain: chain as u16,
+            position: next_pos[chain],
+        };
+        n.set_scan_role(FlopId::new(f), role);
+    }
+}
+
+/// A random acyclic netlist over two primary inputs and `n_ff` flops of
+/// the active domain, with `n_gates` gates of random kinds (each with its
+/// own arity) reading earlier nets.
+fn random_netlist(n_ff: usize, n_gates: usize, seed: u64) -> Netlist {
+    build_netlist(n_ff, &[], n_gates, false, seed)
+}
+
+/// Builds [`random_netlist`]'s shape: `fixed` kinds first, then
+/// `n_random` gates of random kinds, and, with `off_domain`, one extra
+/// flop in a second clock domain whose Q feeds the logic but whose D is
+/// never observed.
+fn build_netlist(
+    n_ff: usize,
+    fixed: &[CellKind],
+    n_random: usize,
+    off_domain: bool,
+    seed: u64,
+) -> Netlist {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut b = NetlistBuilder::new("cross");
+    let blk = b.add_block("B1");
+    let clk = b.add_clock_domain("clka", 100e6);
+    let mut pool = vec![b.add_primary_input("pi0"), b.add_primary_input("pi1")];
+    let mut flops: Vec<(NetId, ClockId)> = (0..n_ff)
+        .map(|i| (b.add_net(format!("q{i}")), clk))
+        .collect();
+    if off_domain {
+        let clkb = b.add_clock_domain("clkb", 50e6);
+        flops.push((b.add_net("qb"), clkb));
+    }
+    pool.extend(flops.iter().map(|&(q, _)| q));
+    let mut kinds = fixed.to_vec();
+    kinds.extend((0..n_random).map(|_| CellKind::ALL[rng.gen_range(0..CellKind::ALL.len())]));
+    let mut outs = Vec::new();
+    for (i, kind) in kinds.into_iter().enumerate() {
+        let y = b.add_net(format!("w{i}"));
+        let ins: Vec<NetId> = (0..kind.num_inputs())
+            .map(|_| pool[rng.gen_range(0..pool.len())])
+            .collect();
+        b.add_gate(kind, &ins, y, blk).unwrap();
+        pool.push(y);
+        outs.push(y);
+    }
+    for (i, &(q, c)) in flops.iter().enumerate() {
+        let d = outs[rng.gen_range(0..outs.len())];
+        b.add_flop(format!("ff{i}"), d, q, c, ClockEdge::Rising, blk)
+            .unwrap();
+    }
+    b.finish().unwrap()
+}
+
+/// Strategy: a netlist small enough to enumerate — up to four
+/// active-domain flops plus one off-domain flop, two primary inputs —
+/// holding every cell kind once (in random order) plus a few random
+/// gates, with a random subset of flops stitched for launch-off-shift.
+fn arb_enumerable_netlist() -> impl Strategy<Value = Netlist> {
+    (2usize..5, 0usize..6, any::<u64>()).prop_map(|(n_ff, n_random, seed)| {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xA11_C311);
+        let mut kinds = CellKind::ALL.to_vec();
+        for i in (1..kinds.len()).rev() {
+            kinds.swap(i, rng.gen_range(0..i + 1));
+        }
+        let mut n = build_netlist(n_ff, &kinds, n_random, true, seed);
+        stitch(&mut n, seed);
+        n
+    })
+}
+
+/// Enumerates every scan load and primary-input assignment through the
+/// fault simulator, 64 per word, and requires, per fault of the full
+/// list: some assignment detects ⇔ SAT answers `Test`, and SAT never
+/// answers `Unknown`.
+fn sat_matches_exhaustive_simulation(n: &Netlist, mode: LaunchMode) -> Result<(), TestCaseError> {
+    let sat = SatAtpg::new(n, CLK, mode, 1_000_000);
+    let fsim = TransitionFaultSim::with_mode(n, CLK, mode);
+    let faults = FaultList::full(n);
+    let faults = faults.faults();
+    let (n_ff, n_pi) = (n.num_flops(), n.primary_inputs().len());
+    let rows = 1u64 << (n_ff + n_pi);
+    let mut detectable = vec![false; faults.len()];
+    for base in (0..rows).step_by(64) {
+        let lanes = (rows - base).min(64);
+        let word =
+            |bit: usize| (0..lanes).fold(0u64, |w, lane| w | ((base + lane) >> bit & 1) << lane);
+        let load: Vec<u64> = (0..n_ff).map(word).collect();
+        let pi: Vec<u64> = (n_ff..n_ff + n_pi).map(word).collect();
+        let valid = if lanes == 64 { !0 } else { (1 << lanes) - 1 };
+        let summary = fsim.detect_batch(&load, &pi, valid, faults);
+        for (d, mask) in detectable.iter_mut().zip(&summary.detect_mask) {
+            *d |= *mask != 0;
+        }
+    }
+    for (&fault, &detected) in faults.iter().zip(&detectable) {
+        let outcome = sat.generate(fault, &mut TestPattern::unspecified(n));
+        prop_assert_ne!(outcome, SatOutcome::Unknown, "SAT gave up on {:?}", fault);
+        prop_assert_eq!(
+            outcome == SatOutcome::Test,
+            detected,
+            "SAT says {:?} for {:?}; exhaustive simulation says detectable = {}",
+            outcome,
+            fault,
+            detected
+        );
+    }
+    Ok(())
 }
 
 /// Whether the zero-filled `pattern` detects `fault` in `fsim`.
@@ -216,6 +297,22 @@ proptest! {
         n in arb_stitched_netlist(20),
     ) {
         sat_witness_passes_podem(&n, LaunchMode::Shift)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(400))]
+
+    #[test]
+    fn sat_verdicts_match_exhaustive_simulation(n in arb_enumerable_netlist()) {
+        sat_matches_exhaustive_simulation(&n, LaunchMode::Capture)?;
+    }
+
+    #[test]
+    fn launch_off_shift_sat_verdicts_match_exhaustive_simulation(
+        n in arb_enumerable_netlist(),
+    ) {
+        sat_matches_exhaustive_simulation(&n, LaunchMode::Shift)?;
     }
 }
 

@@ -41,26 +41,27 @@ pub enum CellKind {
     Oai22,
 }
 
-/// All cell kinds, for library construction and enumeration tests.
-pub(crate) const ALL_KINDS: [CellKind; 15] = [
-    CellKind::Buf,
-    CellKind::Inv,
-    CellKind::And2,
-    CellKind::And3,
-    CellKind::Nand2,
-    CellKind::Nand3,
-    CellKind::Or2,
-    CellKind::Or3,
-    CellKind::Nor2,
-    CellKind::Nor3,
-    CellKind::Xor2,
-    CellKind::Xnor2,
-    CellKind::Mux2,
-    CellKind::Aoi22,
-    CellKind::Oai22,
-];
-
 impl CellKind {
+    /// Every cell kind, in declaration order, so `kind as usize`
+    /// indexes this array.
+    pub const ALL: [CellKind; 15] = [
+        CellKind::Buf,
+        CellKind::Inv,
+        CellKind::And2,
+        CellKind::And3,
+        CellKind::Nand2,
+        CellKind::Nand3,
+        CellKind::Or2,
+        CellKind::Or3,
+        CellKind::Nor2,
+        CellKind::Nor3,
+        CellKind::Xor2,
+        CellKind::Xnor2,
+        CellKind::Mux2,
+        CellKind::Aoi22,
+        CellKind::Oai22,
+    ];
+
     /// Number of input pins of the cell.
     #[inline]
     pub const fn num_inputs(self) -> usize {
@@ -232,7 +233,7 @@ mod tests {
     /// `eval_word` agree for every cell kind.
     #[test]
     fn eval_variants_agree() {
-        for kind in ALL_KINDS {
+        for kind in CellKind::ALL {
             let n = kind.num_inputs();
             for combo in 0u32..(1 << n) {
                 let bools: Vec<bool> = (0..n).map(|i| combo >> i & 1 == 1).collect();
@@ -300,10 +301,17 @@ mod tests {
     }
 
     #[test]
+    fn all_is_in_declaration_order() {
+        for (i, kind) in CellKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{kind:?}");
+        }
+    }
+
+    #[test]
     fn names_are_unique() {
-        let mut names: Vec<&str> = ALL_KINDS.iter().map(|k| k.name()).collect();
+        let mut names: Vec<&str> = CellKind::ALL.iter().map(|k| k.name()).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), ALL_KINDS.len());
+        assert_eq!(names.len(), CellKind::ALL.len());
     }
 }

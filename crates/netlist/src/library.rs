@@ -5,7 +5,7 @@
 //! the *relationships* (pin capacitance, drive resistance, intrinsic
 //! delay), so the absolute values need only be plausible for the node.
 
-use crate::cell::{CellKind, ALL_KINDS};
+use crate::cell::CellKind;
 
 /// Electrical and physical parameters of one combinational cell.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -81,8 +81,8 @@ pub struct Library {
 impl Library {
     /// Builds the default 180 nm / 1.8 V library used by the case study.
     pub fn gsclib180() -> Self {
-        let mut cells = Vec::with_capacity(ALL_KINDS.len());
-        for kind in ALL_KINDS {
+        let mut cells = Vec::with_capacity(CellKind::ALL.len());
+        for kind in CellKind::ALL {
             cells.push(default_params(kind));
         }
         Library {
@@ -109,7 +109,7 @@ impl Library {
     /// Parameters of a combinational cell.
     #[inline]
     pub fn cell(&self, kind: CellKind) -> &CellParams {
-        &self.cells[kind_index(kind)]
+        &self.cells[kind as usize]
     }
 
     /// Parameters of the scan flip-flop cell.
@@ -130,13 +130,6 @@ impl Default for Library {
     fn default() -> Self {
         Library::gsclib180()
     }
-}
-
-fn kind_index(kind: CellKind) -> usize {
-    ALL_KINDS
-        .iter()
-        .position(|&k| k == kind)
-        .expect("every CellKind is present in ALL_KINDS")
 }
 
 /// Plausible 180 nm X1-drive numbers; delays in the 60–250 ps range,
@@ -176,7 +169,7 @@ mod tests {
     #[test]
     fn every_kind_has_positive_params() {
         let lib = Library::gsclib180();
-        for kind in ALL_KINDS {
+        for kind in CellKind::ALL {
             let p = lib.cell(kind);
             assert!(p.input_cap_ff > 0.0, "{kind:?}");
             assert!(p.rise_delay_ps > 0.0, "{kind:?}");

@@ -105,6 +105,15 @@ if [ "$fast" -eq 0 ]; then
         exit 1
     fi
     echo "  atpg.reclassified_untestable = $recl (sat.solves = ${solves:-0})"
+    # Encoding strength: with complete gate clauses and D-chains the
+    # solver settles a fault in a handful of conflicts. The counts are
+    # deterministic (SAT runs in the serial targeting loop).
+    conflicts=$(printf '%s\n' "$hprof" | awk '$1 == "sat.conflicts" { print $2 }')
+    if [ -z "${conflicts:-}" ] || [ -z "${solves:-}" ] || [ "$conflicts" -gt $((20 * solves)) ]; then
+        echo "expected sat.conflicts (${conflicts:-missing}) <= 20 x sat.solves (${solves:-missing})" >&2
+        exit 1
+    fi
+    echo "  sat.conflicts = $conflicts (<= 20 x sat.solves)"
     echo "hybrid engine smoke passed: aborts are proven untestable, not left hanging."
 
     echo "== scap serve smoke (ephemeral port, loadgen burst, clean drain) =="

@@ -1,27 +1,38 @@
-//! Pins the default pattern streams byte for byte.
+//! Pins the default pattern streams byte for byte, and the SAT engine's
+//! per-fault verdicts.
 //!
 //! Four runs on [`CaseStudy::small`] — the conventional flow, the
 //! noise-aware flow, a hybrid PODEM+SAT run and a launch-off-shift run —
 //! each hashed over its filled patterns with FNV-1a. A refactor of the
 //! ATPG engines, the two-frame model or the fault simulator that moves
 //! any bit of any pattern changes a digest. The expected values were
-//! recorded before the two-frame model was unified into `scap_sim::loc`.
+//! recorded before the two-frame model was unified into `scap_sim::loc`;
+//! the hybrid digest was re-recorded when the SAT encoding gained
+//! prime-implicate gate clauses and D-chains, whose models are other
+//! (equally detecting) witnesses.
+//!
+//! The verdict pin hashes the SAT engine's answer for every fault of the
+//! full list under both launch modes. An encoding change may pick other
+//! witnesses, but it must never move a verdict; the expected digests
+//! were recorded with the truth-table-row encoding the D-chain encoding
+//! replaced.
 
-use scap::dft::PatternSet;
+use scap::dft::{PatternSet, TestPattern};
 use scap::flows;
 use scap::sim::{FaultList, LaunchMode};
-use scap::tgen::{AtpgConfig, EngineKind, Generator};
+use scap::tgen::{AtpgConfig, EngineKind, Generator, SatAtpg, SatOutcome};
 use scap::CaseStudy;
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// 64-bit FNV-1a over the pattern count, then every filled pattern's
 /// load bits and PI bits, one byte per bit and a separator per pattern.
 fn digest(patterns: &PatternSet) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
+    let mut h = FNV_OFFSET;
     let mut eat = |byte: u8| {
         h ^= u64::from(byte);
-        h = h.wrapping_mul(PRIME);
+        h = h.wrapping_mul(FNV_PRIME);
     };
     for byte in (patterns.len() as u64).to_le_bytes() {
         eat(byte);
@@ -75,8 +86,50 @@ fn default_pattern_streams_are_pinned() {
     let want = [
         ("conventional", 0xdfaf_6b1c_72d0_1003),
         ("noise_aware", 0xbe4b_b2e4_ef4d_e708),
-        ("hybrid", 0x0a24_df09_a797_8934),
+        ("hybrid", 0xdf21_f72f_bfc9_54ef),
         ("launch_off_shift", 0x5d4a_4b83_a49f_81de),
     ];
     assert_eq!(got, want, "pattern stream digests moved: {got:#x?}");
+}
+
+/// The SAT verdict of every fault of the full list, each from a fresh
+/// unspecified pattern at the default conflict budget: FNV-1a over one
+/// byte per fault (0 test, 1 untestable, 2 unknown), and the count of
+/// each verdict.
+fn verdicts(study: &CaseStudy, mode: LaunchMode) -> (u64, [usize; 3]) {
+    let n = &study.design.netlist;
+    let sat = SatAtpg::new(
+        n,
+        study.clka(),
+        mode,
+        AtpgConfig::default().sat_conflict_limit,
+    );
+    let mut h = FNV_OFFSET;
+    let mut counts = [0; 3];
+    for &fault in FaultList::full(n).faults() {
+        let verdict = match sat.generate(fault, &mut TestPattern::unspecified(n)) {
+            SatOutcome::Test => 0u8,
+            SatOutcome::Untestable => 1,
+            SatOutcome::Unknown => 2,
+        };
+        counts[usize::from(verdict)] += 1;
+        h ^= u64::from(verdict);
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    (h, counts)
+}
+
+#[test]
+fn sat_verdicts_are_pinned() {
+    let study = CaseStudy::small();
+    assert_eq!(
+        verdicts(&study, LaunchMode::Capture),
+        (0x696e_112c_5416_9482, [2561, 813, 0]),
+        "launch-off-capture SAT verdicts moved"
+    );
+    assert_eq!(
+        verdicts(&study, LaunchMode::Shift),
+        (0xf099_3060_f1d7_deb4, [2741, 633, 0]),
+        "launch-off-shift SAT verdicts moved"
+    );
 }
