@@ -48,18 +48,22 @@ fn bench(c: &mut Criterion) {
         })
     });
 
+    // Building a grid assembles and factors its matrix once.
+    g.bench_function("grid_factor", |b| {
+        b.iter(|| scap::power::PowerGrid::new(study.design.floorplan.die, study.grid))
+    });
     let grid = scap::power::PowerGrid::new(study.design.floorplan.die, study.grid);
     let currents: Vec<f64> = (0..grid.num_nodes())
         .map(|_| rng.gen::<f64>() * 1e-4)
         .collect();
-    // The same cold-start solve through a fresh solver each time and
-    // through one solver whose scratch allocations are reused
-    // (bit-identical results).
-    g.bench_function("grid_cg_solve_576_nodes", |b| {
+    // The same substitution through a fresh solver each time and
+    // through one solver whose work vector is reused (bit-identical
+    // results).
+    g.bench_function("grid_solve_576_nodes", |b| {
         b.iter(|| grid.solver().solve(&currents))
     });
     let mut solver = grid.solver();
-    g.bench_function("grid_cg_solve_reused_scratch", |b| {
+    g.bench_function("grid_solve_reused_scratch", |b| {
         b.iter(|| solver.solve(&currents))
     });
 

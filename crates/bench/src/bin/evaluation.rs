@@ -11,7 +11,7 @@
 //! Besides the human-readable report, the run writes
 //! `BENCH_evaluation.json` (override the path with `SCAP_BENCH_JSON`):
 //! per-stage wall-clock in milliseconds **and the counters that advanced
-//! during the stage** (CG solves and iterations, fault-sim detections,
+//! during the stage** (grid solves, fault-sim detections,
 //! patterns screened, …), the requested and *effective*
 //! worker-thread counts and the design scale, so serial-vs-parallel
 //! comparisons are machine-checkable and hot stages are attributable to

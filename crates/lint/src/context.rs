@@ -7,7 +7,7 @@
 use crate::diag::MeshKind;
 use scap_dft::PatternSet;
 use scap_netlist::{BlockId, ClockId, FlopId, Netlist};
-use scap_power::PowerGrid;
+use scap_power::{GridConfig, PowerGrid};
 use scap_timing::{ClockTree, DelayAnnotation, SlackSta};
 
 /// An assembled reduced system: `(dimension, (row, col, value) triplets)`.
@@ -15,7 +15,7 @@ pub type SystemTriplets = (usize, Vec<(u32, u32, f64)>);
 
 /// One supply mesh in checkable form: the branch list the Laplacian was
 /// stamped from, the pad flags, and (optionally) the assembled reduced
-/// matrix the CG solver actually runs against.
+/// matrix the grid factors.
 #[derive(Clone, Debug)]
 pub struct MeshSpec {
     /// Which supply network this is.
@@ -34,12 +34,19 @@ impl MeshSpec {
     /// Captures a built [`PowerGrid`] as a checkable mesh, including the
     /// assembled solver matrix.
     pub fn from_grid(kind: MeshKind, grid: &PowerGrid) -> Self {
+        Self::from_config(kind, grid.config())
+    }
+
+    /// Captures a mesh from its configuration alone. Unlike
+    /// [`MeshSpec::from_grid`] this needs no factored grid, so it also
+    /// covers a matrix [`PowerGrid::new`] rejects.
+    pub fn from_config(kind: MeshKind, config: &GridConfig) -> Self {
         MeshSpec {
             kind,
-            num_nodes: grid.num_nodes(),
-            branches: grid.branches(),
-            pads: grid.pads().to_vec(),
-            matrix: Some(grid.system_triplets()),
+            num_nodes: config.nodes_per_side * config.nodes_per_side,
+            branches: config.branches(),
+            pads: config.pads(),
+            matrix: Some(config.system_triplets()),
         }
     }
 }

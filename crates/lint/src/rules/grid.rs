@@ -1,9 +1,9 @@
 //! Power-grid-layer rules (`GRID00x`).
 //!
-//! All three rules iterate over every [`MeshSpec`](crate::MeshSpec) in the
+//! All three rules iterate over every [`MeshSpec`] in the
 //! context — for the case study that is the VDD and the VSS mesh — and
-//! re-derive connectivity and the stamped matrix independently of the CG
-//! solver.
+//! re-derive connectivity and the stamped matrix independently of the
+//! grid's Cholesky factor.
 
 use crate::context::{LintContext, MeshSpec};
 use crate::diag::{Finding, Severity, Span};
@@ -153,8 +153,9 @@ impl Rule for ConductanceSanity {
 }
 
 /// `GRID003` — the assembled reduced Laplacian must be symmetric with a
-/// positive, (weakly) dominant diagonal: the preconditions Jacobi-CG
-/// needs to converge to the right answer.
+/// positive, (weakly) dominant diagonal. With every node tied to a pad
+/// (`GRID001`) such a matrix is positive definite, so its Cholesky factor
+/// exists; `PowerGrid::new` panics on a matrix that fails.
 #[derive(Debug)]
 pub struct MatrixShape;
 
@@ -243,7 +244,7 @@ impl Rule for MatrixShape {
         "grid"
     }
     fn description(&self) -> &'static str {
-        "stamped matrix not symmetric / diagonally dominant — CG preconditions violated"
+        "stamped matrix not symmetric / diagonally dominant — the Cholesky factor may not exist"
     }
     fn metric(&self) -> &'static str {
         "lint.rule.grid003"

@@ -4,7 +4,7 @@
 //! baseline — the contract the `--deny warn` CI gate relies on.
 
 use scap::netlist::{BlockId, ClockId, FlopId, GateId, NetSource, Netlist};
-use scap::power::PowerGrid;
+use scap::power::{GridConfig, PowerGrid};
 use scap::sta::NoiseAwareSta;
 use scap::{experiments, flows, CaseStudy, PatternAnalyzer};
 use scap_lint::{
@@ -542,6 +542,36 @@ fn asymmetric_matrix_is_grid003() {
     entry.2 *= 2.0;
     let ctx = LintContext::new(&f.study.design.netlist).with_mesh(mesh);
     assert_only(&run_all(&ctx), "GRID003", Severity::Error);
+}
+
+/// A mesh of negative resistance has no Cholesky factor: building it
+/// panics at the first pivot, and GRID003 flags the same matrix.
+#[test]
+fn non_spd_grid_panics_and_is_grid003() {
+    let f = fx();
+    let config = GridConfig {
+        branch_resistance_ohm: -1.0,
+        ..f.study.grid
+    };
+    let die = f.study.design.floorplan.die;
+    let panic = std::panic::catch_unwind(|| PowerGrid::new(die, config))
+        .expect_err("a non-positive-definite grid must not build");
+    let message = panic
+        .downcast_ref::<String>()
+        .expect("a formatted panic message");
+    assert!(
+        message.contains("pivot") && message.contains("at row 0"),
+        "{message}"
+    );
+    let ctx = LintContext::new(&f.study.design.netlist)
+        .with_mesh(MeshSpec::from_config(MeshKind::Vdd, &config));
+    let report = run_all(&ctx);
+    assert!(
+        report.findings.iter().any(|x| x.rule == "GRID003"
+            && x.span == scap_lint::Span::GridNode(MeshKind::Vdd, 0)
+            && x.severity == Severity::Error),
+        "GRID003 must flag row 0 of the matrix the factor rejected"
+    );
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //!
 //! The SCAP pipeline's wall-clock numbers (`BENCH_evaluation.json`) say
 //! *where* the time goes only at stage granularity; this crate collects
-//! the counters underneath — CG iterations, fault-sim detections,
+//! the counters underneath — grid solves, fault-sim detections,
 //! patterns screened, work-stealing chunk claims — so a slow stage can
 //! be attributed to its actual kernel. Like `scap-exec` it is
 //! std-only (the build environment is offline; see `vendor/`).
@@ -15,7 +15,7 @@
 //! * [`Counter`] — monotonic `u64` (events, iterations, items),
 //! * [`Gauge`] — last/max-written `u64` (effective thread count,
 //!   per-worker item peaks),
-//! * [`FloatGauge`] — last/max-written `f64` (residual norms),
+//! * [`FloatGauge`] — last/max-written `f64` values,
 //! * [`SpanStats`] — call count + total wall-clock of a scoped region,
 //!   fed by the RAII [`Span`] guard.
 //!
@@ -70,9 +70,15 @@
 //!   remaining-fault working set across rounds.
 //! * `atpg.*` — spans around the PODEM primary/secondary passes and the
 //!   per-pattern drop simulation.
-//! * `cg.*` — power-grid conjugate-gradient solves (`cg.solves`,
-//!   `cg.iterations`; every solve is a cold start) and residual float
-//!   gauges.
+//! * `cg.*` — `cg.solves` counts power-grid solves, each a forward and
+//!   a back substitution through the grid's Cholesky factor. The `cg`
+//!   prefix is historical. It stays because the external benchmark
+//!   (`perfbench/`) scales its per-layer `power.irdrop_s` by this
+//!   counter; rename it to `grid.solves` only together with that
+//!   benchmark.
+//! * `power.*` — spans around the grid factor (`power.grid_factor`,
+//!   once per grid built) and each grid solve (`power.grid_solve`), so
+//!   factor time and solve time split.
 //! * `exec.*` — the work-stealing executor (`exec.effective_threads` is
 //!   the high-water worker count `evaluation.rs` reports).
 //! * `sta.*` — noise-aware static timing analysis. `sta.runs` /
@@ -572,7 +578,7 @@ pub fn render(snap: &Snapshot) -> String {
 /// ```json
 /// {"counters": {"exec.items": 12},
 ///  "gauges": {"exec.effective_threads": 3},
-///  "float_gauges": {"cg.residual": 1.2e-9},
+///  "float_gauges": {"demo.ratio": 0.5},
 ///  "spans": {"grade.round": {"count": 4, "total_ns": 1200}}}
 /// ```
 ///

@@ -7,6 +7,7 @@
 //! falling edges the VSS network, so a pattern full of rising activity
 //! stresses VDD harder than VSS, exactly as in the paper's Table 4.
 
+use crate::grid::CellNodes;
 use crate::{GridConfig, GridSolver, PowerGrid};
 use scap_netlist::{BlockId, Floorplan, FlopId, GateId, NetSource, Netlist, Point};
 use scap_sim::ToggleTrace;
@@ -141,9 +142,9 @@ impl IrDropMap {
     }
 }
 
-/// Dynamic IR-drop analyzer bound to a design: the mesh, assembled once
-/// in [`DynamicAnalysis::new`]. Patterns are solved through the
-/// [`DynSession`]s it hands out.
+/// Dynamic IR-drop analyzer bound to a design: the mesh, factored once
+/// in [`DynamicAnalysis::new`], and the mesh node of every cell.
+/// Patterns are solved through the [`DynSession`]s it hands out.
 ///
 /// # Example
 ///
@@ -162,18 +163,19 @@ impl IrDropMap {
 #[derive(Debug)]
 pub struct DynamicAnalysis<'a> {
     netlist: &'a Netlist,
-    floorplan: &'a Floorplan,
     grid: PowerGrid,
+    nodes: CellNodes,
 }
 
 impl<'a> DynamicAnalysis<'a> {
-    /// Builds the analyzer (constructs the mesh once; reuse across
-    /// patterns).
+    /// Builds the analyzer (constructs the mesh and maps every cell to
+    /// its node once; reuse across patterns).
     pub fn new(netlist: &'a Netlist, floorplan: &'a Floorplan, grid: GridConfig) -> Self {
+        let grid = PowerGrid::new(floorplan.die, grid);
         DynamicAnalysis {
             netlist,
-            floorplan,
-            grid: PowerGrid::new(floorplan.die, grid),
+            nodes: grid.cell_nodes(netlist, floorplan),
+            grid,
         }
     }
 
@@ -229,55 +231,25 @@ impl<'a> DynamicAnalysis<'a> {
                 _ => {}
             }
         }
+        let nodes = self.grid.num_nodes();
         (
-            self.grid.stamp(n, self.floorplan, &gate_i_vdd, &flop_i_vdd),
-            self.grid.stamp(n, self.floorplan, &gate_i_vss, &flop_i_vss),
+            self.nodes.stamp(nodes, &gate_i_vdd, &flop_i_vdd),
+            self.nodes.stamp(nodes, &gate_i_vss, &flop_i_vss),
         )
     }
 
     /// Samples the solved node drops at every cell location.
     fn assemble_map(&self, node_drop_vdd_v: Vec<f64>, node_drop_vss_v: Vec<f64>) -> IrDropMap {
-        let n = self.netlist;
-        let sample = |drops: &[f64], p: Point| drops[self.grid.node_of(p)];
-        let gate_drop_vdd_v: Vec<f64> = (0..n.num_gates())
-            .map(|i| {
-                sample(
-                    &node_drop_vdd_v,
-                    self.floorplan.placement.gate(GateId::new(i as u32)),
-                )
-            })
-            .collect();
-        let gate_drop_vss_v: Vec<f64> = (0..n.num_gates())
-            .map(|i| {
-                sample(
-                    &node_drop_vss_v,
-                    self.floorplan.placement.gate(GateId::new(i as u32)),
-                )
-            })
-            .collect();
-        let flop_drop_vdd_v: Vec<f64> = (0..n.num_flops())
-            .map(|i| {
-                sample(
-                    &node_drop_vdd_v,
-                    self.floorplan.placement.flop(FlopId::new(i as u32)),
-                )
-            })
-            .collect();
-        let flop_drop_vss_v: Vec<f64> = (0..n.num_flops())
-            .map(|i| {
-                sample(
-                    &node_drop_vss_v,
-                    self.floorplan.placement.flop(FlopId::new(i as u32)),
-                )
-            })
-            .collect();
+        let sample = |cells: &[u32], drops: &[f64]| -> Vec<f64> {
+            cells.iter().map(|&k| drops[k as usize]).collect()
+        };
         IrDropMap {
+            gate_drop_vdd_v: sample(&self.nodes.gates, &node_drop_vdd_v),
+            gate_drop_vss_v: sample(&self.nodes.gates, &node_drop_vss_v),
+            flop_drop_vdd_v: sample(&self.nodes.flops, &node_drop_vdd_v),
+            flop_drop_vss_v: sample(&self.nodes.flops, &node_drop_vss_v),
             node_drop_vdd_v,
             node_drop_vss_v,
-            gate_drop_vdd_v,
-            gate_drop_vss_v,
-            flop_drop_vdd_v,
-            flop_drop_vss_v,
             nodes_per_side: self.grid.nodes_per_side(),
         }
     }

@@ -1,6 +1,6 @@
 //! The on-chip power-distribution mesh.
 
-use crate::solve::{CgScratch, ReducedSystem};
+use crate::solve::{assemble, ReducedSystem};
 use scap_netlist::{Floorplan, FlopId, GateId, Netlist, Point};
 
 /// Configuration of one power mesh (used for both the VDD and VSS
@@ -23,6 +23,64 @@ impl Default for GridConfig {
             branch_resistance_ohm: 1.0,
             num_pads: 37,
         }
+    }
+}
+
+impl GridConfig {
+    /// Pad flag per mesh node: `num_pads` pads spread evenly along the
+    /// periphery ring.
+    pub fn pads(&self) -> Vec<bool> {
+        let n = self.nodes_per_side;
+        // Periphery nodes in ring order.
+        let mut ring: Vec<usize> = Vec::new();
+        for x in 0..n {
+            ring.push(x); // bottom
+        }
+        for y in 1..n {
+            ring.push(y * n + (n - 1)); // right
+        }
+        for x in (0..n - 1).rev() {
+            ring.push((n - 1) * n + x); // top
+        }
+        for y in (1..n - 1).rev() {
+            ring.push(y * n); // left
+        }
+        let mut pinned = vec![false; n * n];
+        let pads = self.num_pads.min(ring.len());
+        for k in 0..pads {
+            pinned[ring[(k * ring.len()) / pads]] = true;
+        }
+        pinned
+    }
+
+    /// The mesh branch list as `(node_a, node_b, conductance_S)` triples:
+    /// horizontal and vertical neighbor links, nodes numbered row by row.
+    pub fn branches(&self) -> Vec<(u32, u32, f64)> {
+        let n = self.nodes_per_side;
+        let g = 1.0 / self.branch_resistance_ohm;
+        let mut branches = Vec::with_capacity(2 * n * n);
+        for y in 0..n {
+            for x in 0..n {
+                let i = (y * n + x) as u32;
+                if x + 1 < n {
+                    branches.push((i, i + 1, g));
+                }
+                if y + 1 < n {
+                    branches.push((i, i + n as u32, g));
+                }
+            }
+        }
+        branches
+    }
+
+    /// The reduced Laplacian as `(row, col, value)` triplets and its
+    /// dimension: the matrix [`PowerGrid::new`] factors, assembled by the
+    /// same code but not factored. Lets the `GRID003` lint rule check
+    /// symmetry and diagonal dominance even of a matrix the factor
+    /// rejects.
+    pub fn system_triplets(&self) -> (usize, Vec<(u32, u32, f64)>) {
+        let (_, dim, triplets) = assemble(&self.branches(), &self.pads());
+        (dim, triplets)
     }
 }
 
@@ -49,43 +107,31 @@ pub struct PowerGrid {
     config: GridConfig,
     die: scap_netlist::Die,
     pinned: Vec<bool>,
-    /// The reduced Laplacian, assembled once here and shared by every
-    /// solve (assembly used to dominate small-grid solve time).
+    /// The reduced Laplacian's Cholesky factor, computed once here and
+    /// shared by every solve.
     system: ReducedSystem,
 }
 
 impl PowerGrid {
-    /// Builds a mesh over the die with pads spread along the periphery.
+    /// Builds a mesh over the die with pads spread along the periphery,
+    /// and factors its matrix.
     ///
     /// # Panics
     ///
-    /// Panics if `nodes_per_side < 2` or `num_pads == 0`.
+    /// Panics if `nodes_per_side < 2` or `num_pads == 0`, or if the
+    /// matrix is not positive definite (a non-positive or non-finite
+    /// branch resistance), naming the failing pivot's row.
     pub fn new(die: scap_netlist::Die, config: GridConfig) -> Self {
-        let n = config.nodes_per_side;
-        assert!(n >= 2, "mesh needs at least 2 nodes per side");
+        assert!(
+            config.nodes_per_side >= 2,
+            "mesh needs at least 2 nodes per side"
+        );
         assert!(config.num_pads > 0, "at least one pad required");
-        let branches = mesh_branches(&config);
-        // Periphery nodes in ring order, pads evenly spaced along the ring.
-        let mut ring: Vec<usize> = Vec::new();
-        for x in 0..n {
-            ring.push(x); // bottom
-        }
-        for y in 1..n {
-            ring.push(y * n + (n - 1)); // right
-        }
-        for x in (0..n - 1).rev() {
-            ring.push((n - 1) * n + x); // top
-        }
-        for y in (1..n - 1).rev() {
-            ring.push(y * n); // left
-        }
-        let mut pinned = vec![false; n * n];
-        let pads = config.num_pads.min(ring.len());
-        for k in 0..pads {
-            let idx = ring[(k * ring.len()) / pads];
-            pinned[idx] = true;
-        }
-        let system = ReducedSystem::build(n * n, &branches, &pinned);
+        let pinned = config.pads();
+        let system = {
+            let _span = scap_obs::span!("power.grid_factor");
+            ReducedSystem::build(&config.branches(), &pinned)
+        };
         PowerGrid {
             config,
             die,
@@ -138,104 +184,87 @@ impl PowerGrid {
         self.pinned[node]
     }
 
-    /// Pad flags for every node, indexable by node id.
-    pub fn pads(&self) -> &[bool] {
-        &self.pinned
-    }
-
-    /// The assembled reduced Laplacian as `(row, col, value)` triplets and
-    /// its dimension — the exact matrix every CG solve runs against. Lets
-    /// the `GRID003` lint rule verify symmetry and diagonal dominance of
-    /// the solver input without reaching into the solver.
-    pub fn system_triplets(&self) -> (usize, Vec<(u32, u32, f64)>) {
-        self.system.triplets()
-    }
-
-    /// The mesh branch list as `(node_a, node_b, conductance_S)` triples —
-    /// the input the reduced Laplacian was assembled from. Regenerated
-    /// from the configuration (the grid itself only retains the assembled
-    /// CSR system); used by the `GRID00x` lint rules, which re-derive
-    /// connectivity and the stamped matrix independently of the solver.
-    pub fn branches(&self) -> Vec<(u32, u32, f64)> {
-        mesh_branches(&self.config)
-    }
-
-    /// A solver over this mesh, the one way to solve it. It keeps the CG
-    /// work vectors alive across solves; create one per thread in hot
-    /// loops.
+    /// A solver over this mesh, the one way to solve it. It keeps its
+    /// substitution vector alive across solves; create one per thread in
+    /// hot loops.
     pub fn solver(&self) -> GridSolver<'_> {
         GridSolver {
             system: &self.system,
-            scratch: CgScratch::default(),
+            work: Vec::new(),
         }
     }
 
-    /// Stamps per-instance currents onto mesh nodes.
+    /// The mesh node of every gate and flop of a placed netlist.
+    pub(crate) fn cell_nodes(&self, netlist: &Netlist, floorplan: &Floorplan) -> CellNodes {
+        let placement = &floorplan.placement;
+        let node = |p: Point| self.node_of(p) as u32;
+        CellNodes {
+            gates: (0..netlist.num_gates() as u32)
+                .map(|i| node(placement.gate(GateId::new(i))))
+                .collect(),
+            flops: (0..netlist.num_flops() as u32)
+                .map(|i| node(placement.flop(FlopId::new(i))))
+                .collect(),
+        }
+    }
+}
+
+/// The mesh node of every gate and flop, computed once per analysis so
+/// that stamping currents and sampling drops per pattern are lookups.
+#[derive(Clone, Debug)]
+pub(crate) struct CellNodes {
+    pub(crate) gates: Vec<u32>,
+    pub(crate) flops: Vec<u32>,
+}
+
+impl CellNodes {
+    /// Sums per-cell currents onto their mesh nodes, gates first, then
+    /// flops.
     ///
     /// # Panics
     ///
     /// Panics if the slices don't match the netlist.
-    pub fn stamp(
+    pub(crate) fn stamp(
         &self,
-        netlist: &Netlist,
-        floorplan: &Floorplan,
-        gate_current_a: &[f64],
-        flop_current_a: &[f64],
+        num_nodes: usize,
+        gate_current: &[f64],
+        flop_current: &[f64],
     ) -> Vec<f64> {
-        assert_eq!(gate_current_a.len(), netlist.num_gates());
-        assert_eq!(flop_current_a.len(), netlist.num_flops());
-        let mut node = vec![0.0; self.num_nodes()];
-        for (i, &c) in gate_current_a.iter().enumerate() {
+        assert_eq!(gate_current.len(), self.gates.len());
+        assert_eq!(flop_current.len(), self.flops.len());
+        let mut node = vec![0.0; num_nodes];
+        for (&k, &c) in self
+            .gates
+            .iter()
+            .zip(gate_current)
+            .chain(self.flops.iter().zip(flop_current))
+        {
             if c != 0.0 {
-                node[self.node_of(floorplan.placement.gate(GateId::new(i as u32)))] += c;
-            }
-        }
-        for (i, &c) in flop_current_a.iter().enumerate() {
-            if c != 0.0 {
-                node[self.node_of(floorplan.placement.flop(FlopId::new(i as u32)))] += c;
+                node[k as usize] += c;
             }
         }
         node
     }
 }
 
-/// Branch list of a regular mesh: horizontal and vertical neighbor links,
-/// each with the configured branch conductance.
-fn mesh_branches(config: &GridConfig) -> Vec<(u32, u32, f64)> {
-    let n = config.nodes_per_side;
-    let g = 1.0 / config.branch_resistance_ohm;
-    let mut branches = Vec::with_capacity(2 * n * n);
-    for y in 0..n {
-        for x in 0..n {
-            let i = (y * n + x) as u32;
-            if x + 1 < n {
-                branches.push((i, i + 1, g));
-            }
-            if y + 1 < n {
-                branches.push((i, i + n as u32, g));
-            }
-        }
-    }
-    branches
-}
-
-/// A solver context bound to one [`PowerGrid`], holding reusable CG work
-/// vectors.
+/// A solver context bound to one [`PowerGrid`]: the grid's factor plus
+/// a reusable substitution vector.
 ///
-/// Every solve is a cold start: only allocations carry over, never
+/// Only the vector's allocation carries over between solves, never its
 /// values, so a result depends on its right-hand side alone. That makes
 /// one solver per worker safe in deterministic parallel loops.
 #[derive(Clone, Debug)]
 pub struct GridSolver<'g> {
     system: &'g ReducedSystem,
-    scratch: CgScratch,
+    work: Vec<f64>,
 }
 
 impl GridSolver<'_> {
     /// Solves the mesh for the given per-node current draw (A), returning
     /// the voltage drop (V) at every node.
     pub fn solve(&mut self, node_currents: &[f64]) -> Vec<f64> {
-        self.system.solve_into(node_currents, &mut self.scratch)
+        let _span = scap_obs::span!("power.grid_solve");
+        self.system.solve_into(node_currents, &mut self.work)
     }
 }
 

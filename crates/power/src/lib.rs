@@ -3,10 +3,10 @@
 //! Replaces the power half of the paper's flow (Cadence SOC Encounter):
 //!
 //! * [`PowerGrid`] — a resistive VDD/VSS mesh with periphery pads (the
-//!   paper's chip has 37 VDD and 37 VSS pads), assembled once and solved
-//!   by Jacobi-preconditioned conjugate gradient through a reusable
-//!   [`GridSolver`] (every solve a cold start, so one solver per worker
-//!   keeps parallel loops bit-identical),
+//!   paper's chip has 37 VDD and 37 VSS pads), its matrix factored once
+//!   by banded Cholesky and solved by substitution through a reusable
+//!   [`GridSolver`] (a result depends on its right-hand side alone, so
+//!   one solver per worker keeps parallel loops bit-identical),
 //! * [`StatisticalAnalysis`] — vector-less IR-drop estimation from a
 //!   uniform toggle probability over a chosen time window (paper §2.2,
 //!   Table 3's full-cycle vs half-cycle cases),

@@ -9,8 +9,9 @@
 //! average switching power of Case 2 is the **SCAP threshold** the
 //! pattern-generation procedure screens against.
 
+use crate::grid::CellNodes;
 use crate::{GridConfig, PowerGrid};
-use scap_netlist::{BlockId, Floorplan, NetSource, Netlist};
+use scap_netlist::{Floorplan, NetSource, Netlist};
 use scap_timing::DelayAnnotation;
 
 /// Per-block statistical results.
@@ -32,7 +33,7 @@ pub struct StatisticalReport {
     pub toggle_probability: f64,
     /// Averaging window, ps.
     pub window_ps: f64,
-    /// Per-block rows, indexed by [`BlockId::index`].
+    /// Per-block rows, indexed by [`BlockId::index`](scap_netlist::BlockId::index).
     pub blocks: Vec<BlockStatistics>,
     /// Chip-level row.
     pub chip: BlockStatistics,
@@ -56,17 +57,19 @@ pub struct StatisticalReport {
 #[derive(Debug)]
 pub struct StatisticalAnalysis<'a> {
     netlist: &'a Netlist,
-    floorplan: &'a Floorplan,
     grid: PowerGrid,
+    nodes: CellNodes,
 }
 
 impl<'a> StatisticalAnalysis<'a> {
-    /// Builds the analyzer (constructs the power mesh once).
+    /// Builds the analyzer (constructs the power mesh and maps every
+    /// cell to its node once).
     pub fn new(netlist: &'a Netlist, floorplan: &'a Floorplan, grid: GridConfig) -> Self {
+        let grid = PowerGrid::new(floorplan.die, grid);
         StatisticalAnalysis {
             netlist,
-            floorplan,
-            grid: PowerGrid::new(floorplan.die, grid),
+            nodes: grid.cell_nodes(netlist, floorplan),
+            grid,
         }
     }
 
@@ -111,8 +114,8 @@ impl<'a> StatisticalAnalysis<'a> {
             }
         }
         let node_currents = self
-            .grid
-            .stamp(n, self.floorplan, &gate_current, &flop_current);
+            .nodes
+            .stamp(self.grid.num_nodes(), &gate_current, &flop_current);
         // The symmetric mesh serves both rails; ground bounce mirrors the
         // VDD drop with the return current, which is identical here.
         let drops = self.grid.solver().solve(&node_currents);
@@ -124,29 +127,15 @@ impl<'a> StatisticalAnalysis<'a> {
             avg_power_mw: chip_power,
             ..BlockStatistics::default()
         };
-        let mut visit = |block: BlockId, location: scap_netlist::Point| {
-            let d = drops[self.grid.node_of(location)];
+        let gates = n.gates().iter().map(|g| g.block).zip(&self.nodes.gates);
+        let flops = n.flops().iter().map(|f| f.block).zip(&self.nodes.flops);
+        for (block, &node) in gates.chain(flops) {
+            let d = drops[node as usize];
             let s = &mut blocks[block.index()];
             s.worst_drop_vdd_v = s.worst_drop_vdd_v.max(d);
             s.worst_drop_vss_v = s.worst_drop_vss_v.max(d);
             chip.worst_drop_vdd_v = chip.worst_drop_vdd_v.max(d);
             chip.worst_drop_vss_v = chip.worst_drop_vss_v.max(d);
-        };
-        for (i, g) in n.gates().iter().enumerate() {
-            visit(
-                g.block,
-                self.floorplan
-                    .placement
-                    .gate(scap_netlist::GateId::new(i as u32)),
-            );
-        }
-        for (i, f) in n.flops().iter().enumerate() {
-            visit(
-                f.block,
-                self.floorplan
-                    .placement
-                    .flop(scap_netlist::FlopId::new(i as u32)),
-            );
         }
         StatisticalReport {
             toggle_probability,
