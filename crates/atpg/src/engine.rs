@@ -799,22 +799,12 @@ impl<'a> Podem<'a> {
         // re-simulation.
         let mut dirty: Vec<Var> = Vec::new();
         let mut backtracks = 0u32;
-        let trace = std::env::var_os("PODEM_TRACE").is_some();
         loop {
             match self.objective(s, fault, site_net, v_init, v_final) {
                 Objective::Detected => return PodemOutcome::Test,
                 Objective::Assign(net, value, frame) => {
-                    if trace {
-                        eprintln!(
-                            "objective: {net:?}={value} in {frame:?} (stack {} bt {backtracks})",
-                            stack.len()
-                        );
-                    }
                     match self.backtrace(s, net, value, frame) {
                         Some((var, val)) => {
-                            if trace {
-                                eprintln!("  decide {var:?} = {val}");
-                            }
                             self.set_var(pattern, var, val);
                             stack.push((var, val, false, s.trail.len() as u32));
                             dirty.clear();
@@ -822,9 +812,6 @@ impl<'a> Podem<'a> {
                             self.resim_dirty(fault, v_init, pattern, s, &dirty);
                         }
                         None => {
-                            if trace {
-                                eprintln!("  backtrace failed -> conflict");
-                            }
                             // No unassigned input reaches the objective —
                             // treat as a conflict.
                             dirty.clear();
@@ -841,9 +828,6 @@ impl<'a> Podem<'a> {
                     }
                 }
                 Objective::Conflict => {
-                    if trace {
-                        eprintln!("conflict (stack {} bt {backtracks})", stack.len());
-                    }
                     dirty.clear();
                     if !self.backtrack(pattern, &mut stack, s, &mut dirty) {
                         return PodemOutcome::Untestable;

@@ -71,6 +71,17 @@ fn bench(c: &mut Criterion) {
     // each) vs the parallel profile path (one session per worker).
     use scap::PatternAnalyzer;
     let analyzer = PatternAnalyzer::new(study);
+    // One nominal toggle trace per iteration, cycling through the
+    // conventional pattern set: frame 1 as a one-lane block, then the
+    // event kernel on this thread's reused buffers.
+    let conventional = &scap_bench::conventional().patterns.filled;
+    let mut next = 0;
+    g.bench_function("event_sim_trace", |b| {
+        b.iter(|| {
+            next = (next + 1) % conventional.len();
+            analyzer.trace(&conventional[next]).num_toggles()
+        })
+    });
     let pats = filled[..8].to_vec();
     g.bench_function("irdrop_8_patterns_one_shot", |b| {
         b.iter(|| {

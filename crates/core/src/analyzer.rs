@@ -1,13 +1,20 @@
 //! Per-pattern analysis: toggle traces, SCAP power and endpoint delays.
+//!
+//! Every trace starts from frame 1 and a launch set. Both come from one
+//! bit-parallel [`BatchSim`] pass per block of up to 64 patterns (a
+//! single pattern is a one-lane block); a trace then pays only for its
+//! own events, through an [`EventSim`] over the batch simulator's
+//! [`SimTable`](scap_sim::SimTable) and its thread's `TraceScratch`.
 
 use crate::CaseStudy;
 use scap_dft::{FilledPattern, PatternBatch, PatternSet};
 use scap_exec::Executor;
-use scap_netlist::{ClockId, FlopId, Netlist};
+use scap_netlist::{FlopId, Netlist};
 use scap_power::{DynSession, DynamicAnalysis, IrDropMap, PatternPower, ScapCalculator};
 use scap_sim::loc::{self, State2Src};
-use scap_sim::{BatchSim, EventSim, LaunchMode, ToggleTrace};
+use scap_sim::{BatchSim, EventScratch, EventSim, GateDelays, LaunchMode, ToggleTrace};
 use scap_timing::{scaling, ClockArrivals, DelayAnnotation};
+use std::cell::RefCell;
 
 /// Per-endpoint delay report (the paper's Figure 7 data).
 #[derive(Clone, Debug)]
@@ -28,6 +35,39 @@ impl EndpointDelayReport {
     pub fn max_delay_ps(&self) -> f64 {
         self.delay_ps.iter().map(|&(_, d)| d).fold(0.0, f64::max)
     }
+}
+
+/// Frame 1 and the launch state of up to 64 patterns, from one
+/// bit-parallel pass: lane `p` of every word belongs to pattern `p`.
+#[derive(Debug)]
+pub(crate) struct FrameBlock {
+    /// Settled frame-1 value of every net.
+    frame1: Vec<u64>,
+    /// Per active-domain flop (in [`PatternAnalyzer::active`] order): the
+    /// lanes whose Q toggles at the launch edge.
+    toggles: Vec<u64>,
+    /// Per active-domain flop: the Q value after the launch edge.
+    launched: Vec<u64>,
+}
+
+/// A thread's reusable tracing buffers: the event kernel's scratch, the
+/// frame-1 plane of the pattern being traced and its launch list. What
+/// a trace computes never depends on what the buffers held before.
+#[derive(Debug, Default)]
+struct TraceScratch {
+    events: EventScratch,
+    frame1: Vec<bool>,
+    launches: Vec<(FlopId, bool, f64)>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<TraceScratch> = RefCell::default();
+}
+
+/// Runs `f` on this thread's tracing buffers. `f` must not trace through
+/// the analyzer itself: the buffers are borrowed for its duration.
+fn with_scratch<R>(f: impl FnOnce(&mut TraceScratch) -> R) -> R {
+    SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
 }
 
 /// Computes traces, power, IR drop and timing for individual patterns of
@@ -56,9 +96,16 @@ pub struct PatternAnalyzer<'a> {
     study: &'a CaseStudy,
     batch: BatchSim<'a>,
     dynir: DynamicAnalysis<'a>,
-    active_clock: ClockId,
+    scap: ScapCalculator<'a>,
     /// Launch-off-capture state source per flop.
     state2: Vec<State2Src>,
+    /// The active clock domain's flops, in index order: the only flops
+    /// the launch edge toggles.
+    active: Vec<FlopId>,
+    /// Nominal launch instant of each active flop, ps.
+    nominal_launch_ps: Vec<f64>,
+    /// The study's gate delays in the event kernel's femtoseconds.
+    nominal_delays: GateDelays,
 }
 
 impl<'a> PatternAnalyzer<'a> {
@@ -66,13 +113,22 @@ impl<'a> PatternAnalyzer<'a> {
     pub fn new(study: &'a CaseStudy) -> Self {
         let d = &study.design;
         let active_clock = study.clka();
-        PatternAnalyzer {
+        let active = (0..d.netlist.num_flops() as u32)
+            .map(FlopId::new)
+            .filter(|&f| d.netlist.flop(f).clock == active_clock)
+            .collect();
+        let mut analyzer = PatternAnalyzer {
             study,
             batch: BatchSim::new(&d.netlist),
             dynir: DynamicAnalysis::new(&d.netlist, &d.floorplan, study.grid),
-            active_clock,
+            scap: ScapCalculator::new(&d.netlist, &study.annotation, study.period_ps()),
             state2: loc::state2_sources(&d.netlist, active_clock, LaunchMode::Capture),
-        }
+            active,
+            nominal_launch_ps: Vec::new(),
+            nominal_delays: GateDelays::new(&study.annotation),
+        };
+        analyzer.nominal_launch_ps = analyzer.launch_times(&study.annotation, &study.arrivals);
+        analyzer
     }
 
     /// A dynamic IR-drop session over the analyzer's mesh: reusable
@@ -85,39 +141,110 @@ impl<'a> PatternAnalyzer<'a> {
         &self.study.design.netlist
     }
 
-    /// Launch events of a pattern under given clock arrivals and delays:
-    /// `(flop, new value, Q transition time)` for every active-domain flop
-    /// whose state changes at the launch edge.
-    fn launches(
-        &self,
-        filled: &FilledPattern,
-        annotation: &DelayAnnotation,
-        arrivals: &ClockArrivals,
-    ) -> (Vec<bool>, Vec<(FlopId, bool, f64)>) {
-        let n = self.netlist();
-        let b = PatternBatch::pack(std::slice::from_ref(filled));
+    /// Launch instant of every active flop under given delays and clock
+    /// arrivals: clock arrival (0 where the tree has none) plus
+    /// clock-to-Q, ps.
+    fn launch_times(&self, annotation: &DelayAnnotation, arrivals: &ClockArrivals) -> Vec<f64> {
+        let mut arrival: Vec<Option<f64>> = vec![None; self.netlist().num_flops()];
+        for (f, t) in arrivals.iter() {
+            arrival[f.index()].get_or_insert(t);
+        }
+        self.active
+            .iter()
+            .map(|&f| arrival[f.index()].unwrap_or(0.0) + annotation.flop_clk_to_q_ps(f))
+            .collect()
+    }
+
+    /// Frame 1 and launch state of up to 64 patterns, one [`BatchSim`]
+    /// pass.
+    fn frame_block(&self, patterns: &[FilledPattern]) -> FrameBlock {
+        let b = PatternBatch::pack(patterns);
         let frame1 = self.batch.eval(&b.load_words, &b.pi_words);
-        let state2 = loc::launch_state(&self.state2, &b.load_words, &frame1, 0);
-        let frame1: Vec<bool> = frame1.iter().map(|w| w & 1 == 1).collect();
-        let mut launches = Vec::new();
-        for (i, f) in n.flops().iter().enumerate() {
-            if f.clock != self.active_clock {
-                continue;
-            }
-            let id = FlopId::new(i as u32);
-            let old = b.load_words[i] & 1 == 1;
-            let new = state2[i] & 1 == 1;
-            if old != new {
-                let t = arrivals.arrival_ps(id).unwrap_or(0.0) + annotation.flop_clk_to_q_ps(id);
-                launches.push((id, new, t));
+        let (toggles, launched) = self
+            .active
+            .iter()
+            .map(|f| {
+                let i = f.index();
+                let new = self.state2[i].value(i, &b.load_words, &frame1, 0);
+                (b.load_words[i] ^ new, new)
+            })
+            .unzip();
+        FrameBlock {
+            frame1,
+            toggles,
+            launched,
+        }
+    }
+
+    /// Frame blocks of a pattern list, 64 patterns per block: pattern `i`
+    /// is lane `i % 64` of block `i / 64`.
+    pub(crate) fn frame_blocks(&self, patterns: &[FilledPattern]) -> Vec<FrameBlock> {
+        patterns.chunks(64).map(|c| self.frame_block(c)).collect()
+    }
+
+    /// Loads lane `lane` of `block` as the frame 1 of the next traces.
+    fn load_lane(s: &mut TraceScratch, block: &FrameBlock, lane: usize) {
+        s.frame1.clear();
+        s.frame1
+            .extend(block.frame1.iter().map(|w| w >> lane & 1 == 1));
+    }
+
+    /// The toggle trace of the loaded lane under `delays`, with the
+    /// active flops launching at `launch_ps`.
+    fn run_lane(
+        &self,
+        s: &mut TraceScratch,
+        block: &FrameBlock,
+        lane: usize,
+        delays: &GateDelays,
+        launch_ps: &[f64],
+    ) -> ToggleTrace {
+        s.launches.clear();
+        for (k, &f) in self.active.iter().enumerate() {
+            if block.toggles[k] >> lane & 1 == 1 {
+                s.launches
+                    .push((f, block.launched[k] >> lane & 1 == 1, launch_ps[k]));
             }
         }
-        (frame1, launches)
+        EventSim::with_table(self.netlist(), self.batch.table(), delays).run_in(
+            &mut s.events,
+            &s.frame1,
+            &s.launches,
+        )
+    }
+
+    /// The nominal toggle trace of one lane.
+    fn nominal_lane(&self, s: &mut TraceScratch, block: &FrameBlock, lane: usize) -> ToggleTrace {
+        Self::load_lane(s, block, lane);
+        self.run_lane(
+            s,
+            block,
+            lane,
+            &self.nominal_delays,
+            &self.nominal_launch_ps,
+        )
+    }
+
+    /// Maps `f` over the nominal traces of `patterns` in parallel, with
+    /// a per-worker state from `init`; order-stable and bit-identical at
+    /// every thread count.
+    fn map_traces<S, R: Send>(
+        &self,
+        patterns: &[FilledPattern],
+        init: impl Fn() -> S + Sync,
+        f: impl Fn(&mut S, ToggleTrace) -> R + Sync,
+    ) -> Vec<R> {
+        let blocks = self.frame_blocks(patterns);
+        let index: Vec<usize> = (0..patterns.len()).collect();
+        Executor::new().parallel_map_with(init, &index, |state, &i| {
+            let trace = with_scratch(|s| self.nominal_lane(s, &blocks[i / 64], i % 64));
+            f(state, trace)
+        })
     }
 
     /// The launch-to-capture toggle trace of a pattern (nominal delays).
     pub fn trace(&self, filled: &FilledPattern) -> ToggleTrace {
-        self.trace_with(filled, &self.study.annotation, &self.study.arrivals)
+        self.trace_one(filled, &self.nominal_delays, &self.nominal_launch_ps)
     }
 
     /// Toggle trace under explicit (e.g. IR-drop-scaled) delays and clock
@@ -128,8 +255,22 @@ impl<'a> PatternAnalyzer<'a> {
         annotation: &DelayAnnotation,
         arrivals: &ClockArrivals,
     ) -> ToggleTrace {
-        let (frame1, launches) = self.launches(filled, annotation, arrivals);
-        EventSim::new(self.netlist(), annotation).run(&frame1, &launches)
+        let launch_ps = self.launch_times(annotation, arrivals);
+        self.trace_one(filled, &GateDelays::new(annotation), &launch_ps)
+    }
+
+    /// One pattern's trace, its frame 1 from a one-lane block.
+    fn trace_one(
+        &self,
+        filled: &FilledPattern,
+        delays: &GateDelays,
+        launch_ps: &[f64],
+    ) -> ToggleTrace {
+        let block = self.frame_block(std::slice::from_ref(filled));
+        with_scratch(|s| {
+            Self::load_lane(s, &block, 0);
+            self.run_lane(s, &block, 0, delays, launch_ps)
+        })
     }
 
     /// CAP/SCAP power of one pattern.
@@ -140,19 +281,14 @@ impl<'a> PatternAnalyzer<'a> {
 
     /// CAP/SCAP power of an existing trace.
     pub fn power_of_trace(&self, trace: &ToggleTrace) -> PatternPower {
-        let calc = ScapCalculator::new(
-            self.netlist(),
-            &self.study.annotation,
-            self.study.period_ps(),
-        );
-        calc.measure(trace)
+        self.scap.measure(trace)
     }
 
     /// SCAP profile of a whole pattern set — the data behind the paper's
     /// Figures 2 and 6. Patterns are analyzed in parallel (order-stable,
     /// bit-identical to the serial loop for every thread count).
     pub fn power_profile(&self, set: &PatternSet) -> Vec<PatternPower> {
-        Executor::new().parallel_map(&set.filled, |f| self.power(f))
+        self.map_traces(&set.filled, || (), |(), trace| self.scap.measure(&trace))
     }
 
     /// Dynamic IR-drop of one pattern.
@@ -165,13 +301,10 @@ impl<'a> PatternAnalyzer<'a> {
     /// [`DynSession`] per worker. Results are bit-identical to calling
     /// [`PatternAnalyzer::ir_drop`] per pattern, in order.
     pub fn ir_drop_profile(&self, patterns: &[FilledPattern]) -> Vec<IrDropMap> {
-        Executor::new().parallel_map_with(
-            || self.session(),
+        self.map_traces(
             patterns,
-            |session, filled| {
-                let trace = self.trace(filled);
-                session.analyze(&self.study.annotation, &trace)
-            },
+            || self.session(),
+            |session, trace| session.analyze(&self.study.annotation, &trace),
         )
     }
 
@@ -232,33 +365,46 @@ impl<'a> PatternAnalyzer<'a> {
         filled: &FilledPattern,
         k: f64,
     ) -> (EndpointDelayReport, EndpointDelayReport) {
-        self.endpoint_delays_scaled_in(&mut self.session(), filled, k)
+        let block = self.frame_block(std::slice::from_ref(filled));
+        let (nominal, scaled) = self.scaled_lane(&mut self.session(), &block, 0, k);
+        (
+            self.endpoints_from_trace(&nominal, &self.study.arrivals),
+            scaled,
+        )
     }
 
-    /// [`PatternAnalyzer::endpoint_delays_scaled_k`] solving the IR drop
-    /// through the caller's session, so a worker screening many patterns
-    /// keeps its solver buffers.
-    pub(crate) fn endpoint_delays_scaled_in(
+    /// The §3.2 re-simulation of one lane, solving the IR drop through
+    /// the caller's session: the nominal trace and the endpoint report
+    /// under the delays and clock arrivals its IR drop derates. Both
+    /// traces start from the same frame 1; only launch instants and gate
+    /// delays differ.
+    pub(crate) fn scaled_lane(
         &self,
         session: &mut DynSession<'_, '_>,
-        filled: &FilledPattern,
+        block: &FrameBlock,
+        lane: usize,
         k: f64,
-    ) -> (EndpointDelayReport, EndpointDelayReport) {
-        let trace = self.trace(filled);
-        let nominal = self.endpoints_from_trace(&trace, &self.study.arrivals);
-        let map = session.analyze(&self.study.annotation, &trace);
-        let scaled_ann = scaling::scale_annotation(
-            &self.study.annotation,
-            &map.gate_drops_total(),
-            &map.flop_drops_total(),
-            k,
-        );
-        let scaled_arrivals = self
-            .study
-            .clock_tree
-            .arrivals_with_drop(|p| self.dynir.drop_at(&map, p), k);
-        let scaled = self.endpoint_delays_with(filled, &scaled_ann, &scaled_arrivals);
-        (nominal, scaled)
+    ) -> (ToggleTrace, EndpointDelayReport) {
+        with_scratch(|s| {
+            let nominal = self.nominal_lane(s, block, lane);
+            let map = session.analyze(&self.study.annotation, &nominal);
+            let scaled_ann = scaling::scale_annotation(
+                &self.study.annotation,
+                &map.gate_drops_total(),
+                &map.flop_drops_total(),
+                k,
+            );
+            let scaled_arrivals = self
+                .study
+                .clock_tree
+                .arrivals_with_drop(|p| self.dynir.drop_at(&map, p), k);
+            let launch_ps = self.launch_times(&scaled_ann, &scaled_arrivals);
+            let scaled = self.run_lane(s, block, lane, &GateDelays::new(&scaled_ann), &launch_ps);
+            (
+                nominal,
+                self.endpoints_from_trace(&scaled, &scaled_arrivals),
+            )
+        })
     }
 }
 

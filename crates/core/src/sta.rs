@@ -176,19 +176,23 @@ impl TimingScreen {
     /// Screens every pattern of a set: re-simulates each under its own
     /// IR-drop-scaled delays (`k_factor` times the library `k_volt`) and
     /// flags patterns whose derated launch-to-capture delay exceeds
-    /// `period − setup`. Patterns are screened in parallel, one IR-drop
-    /// session per worker; results are order-stable and bit-identical at
-    /// every thread count.
+    /// `period − setup`. Frame 1 comes from one bit-parallel pass per 64
+    /// patterns and is shared by each pattern's nominal and derated
+    /// traces. Patterns are screened in parallel, one IR-drop session per
+    /// worker; results are order-stable and bit-identical at every thread
+    /// count.
     pub fn run(study: &CaseStudy, patterns: &PatternSet, k_factor: f64) -> Self {
         let analyzer = PatternAnalyzer::new(study);
         let n = &study.design.netlist;
         let k_volt = k_factor * n.library.k_volt_per_volt;
         let budget_ps = study.period_ps() - n.library.flop().setup_ps;
+        let blocks = analyzer.frame_blocks(&patterns.filled);
+        let index: Vec<usize> = (0..patterns.len()).collect();
         let max_derated_delay_ps: Vec<f64> = Executor::new().parallel_map_with(
             || analyzer.session(),
-            &patterns.filled,
-            |session, filled| {
-                let (_, scaled) = analyzer.endpoint_delays_scaled_in(session, filled, k_volt);
+            &index,
+            |session, &i| {
+                let (_, scaled) = analyzer.scaled_lane(session, &blocks[i / 64], i % 64, k_volt);
                 scaled.max_delay_ps()
             },
         );

@@ -63,7 +63,11 @@
 //!   64-lane pattern blocks built (each graded against many faults), and
 //!   `sim.patterns_per_block`, the total real patterns across those
 //!   blocks — `patterns_per_block / (64 * block_evals)` is the lane
-//!   utilization `scap profile --metrics` reports.
+//!   utilization `scap profile --metrics` reports. The event-driven
+//!   timing kernel counts `sim.event_runs`, one per simulated toggle
+//!   trace (the external benchmark multiplies its per-trace cost by
+//!   it), and `sim.toggle_events`, the transitions those traces hold;
+//!   the `sim.event` span times each run.
 //! * `grade.*` — pattern grading. `grade.fault_shards` counts the
 //!   fault-parallel shards the grade/compact loops dispatched;
 //!   `grade.faults_dropped`/`grade.fault_sim_targets` size the shrinking

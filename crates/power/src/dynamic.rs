@@ -9,7 +9,7 @@
 
 use crate::grid::CellNodes;
 use crate::{GridConfig, GridSolver, PowerGrid};
-use scap_netlist::{BlockId, Floorplan, FlopId, GateId, NetSource, Netlist, Point};
+use scap_netlist::{BlockId, Floorplan, FlopId, GateId, NetId, NetSource, Netlist, Point};
 use scap_sim::ToggleTrace;
 use scap_timing::DelayAnnotation;
 
@@ -165,17 +165,44 @@ pub struct DynamicAnalysis<'a> {
     netlist: &'a Netlist,
     grid: PowerGrid,
     nodes: CellNodes,
+    /// The cell driving each net, as a stamping key: gate `g` is `g`,
+    /// flop `f` is `num_gates + f` — the order currents are summed in.
+    /// [`NO_CELL`] for primary inputs and constants.
+    net_cell: Vec<u32>,
+    /// The net each stamping key drives.
+    cell_net: Vec<u32>,
 }
+
+/// No driving cell (primary input or constant net).
+const NO_CELL: u32 = u32::MAX;
 
 impl<'a> DynamicAnalysis<'a> {
     /// Builds the analyzer (constructs the mesh and maps every cell to
     /// its node once; reuse across patterns).
     pub fn new(netlist: &'a Netlist, floorplan: &'a Floorplan, grid: GridConfig) -> Self {
         let grid = PowerGrid::new(floorplan.die, grid);
+        let num_gates = netlist.num_gates() as u32;
+        let mut cell_net = vec![0; netlist.num_gates() + netlist.num_flops()];
+        let net_cell = netlist
+            .nets()
+            .iter()
+            .enumerate()
+            .map(|(i, net)| {
+                let cell = match net.source {
+                    Some(NetSource::Gate(g)) => g.raw(),
+                    Some(NetSource::Flop(f)) => num_gates + f.raw(),
+                    _ => return NO_CELL,
+                };
+                cell_net[cell as usize] = i as u32;
+                cell
+            })
+            .collect();
         DynamicAnalysis {
             netlist,
             nodes: grid.cell_nodes(netlist, floorplan),
             grid,
+            net_cell,
+            cell_net,
         }
     }
 
@@ -184,58 +211,29 @@ impl<'a> DynamicAnalysis<'a> {
         &self.grid
     }
 
-    /// A per-thread analysis context: one [`GridSolver`] per rail, kept
-    /// alive across patterns so back-to-back [`DynSession::analyze`]
-    /// calls skip the per-solve allocations.
+    /// A per-thread analysis context: one [`GridSolver`] per rail and the
+    /// current-stamping buffers, kept alive across patterns so
+    /// back-to-back [`DynSession::analyze`] calls skip the per-pattern
+    /// allocations.
     pub fn session(&self) -> DynSession<'_, 'a> {
+        let cells = self.cell_net.len();
         DynSession {
             analysis: self,
             vdd: self.grid.solver(),
             vss: self.grid.solver(),
+            counts: vec![(0, 0); cells],
+            toggled: vec![0; cells.div_ceil(64)],
+            node_vdd: Vec::new(),
+            node_vss: Vec::new(),
         }
     }
 
-    /// Stamps a trace's average per-rail currents onto mesh nodes.
-    fn rail_currents(
-        &self,
-        annotation: &DelayAnnotation,
-        trace: &ToggleTrace,
-        window_ps: f64,
-    ) -> (Vec<f64>, Vec<f64>) {
-        let n = self.netlist;
-        let vdd = n.library.vdd;
-        let stw = window_ps.max(1.0);
-        let counts = trace.toggle_counts(n.num_nets());
-        let mut gate_i_vdd = vec![0.0f64; n.num_gates()];
-        let mut gate_i_vss = vec![0.0f64; n.num_gates()];
-        let mut flop_i_vdd = vec![0.0f64; n.num_flops()];
-        let mut flop_i_vss = vec![0.0f64; n.num_flops()];
-        for (i, net) in n.nets().iter().enumerate() {
-            let (rise, fall) = counts[i];
-            if rise == 0 && fall == 0 {
-                continue;
-            }
-            let cap = annotation.net_total_cap_ff(scap_netlist::NetId::new(i as u32));
-            // Average current over the STW: Q = C·V per toggle; fF·V/ps = mA.
-            let i_vdd = rise as f64 * cap * vdd / stw * 1e-3;
-            let i_vss = fall as f64 * cap * vdd / stw * 1e-3;
-            match net.source {
-                Some(NetSource::Gate(g)) => {
-                    gate_i_vdd[g.index()] += i_vdd;
-                    gate_i_vss[g.index()] += i_vss;
-                }
-                Some(NetSource::Flop(f)) => {
-                    flop_i_vdd[f.index()] += i_vdd;
-                    flop_i_vss[f.index()] += i_vss;
-                }
-                _ => {}
-            }
+    /// The mesh node of a stamping key.
+    fn cell_node(&self, cell: usize) -> usize {
+        match self.nodes.gates.get(cell) {
+            Some(&k) => k as usize,
+            None => self.nodes.flops[cell - self.nodes.gates.len()] as usize,
         }
-        let nodes = self.grid.num_nodes();
-        (
-            self.nodes.stamp(nodes, &gate_i_vdd, &flop_i_vdd),
-            self.nodes.stamp(nodes, &gate_i_vss, &flop_i_vss),
-        )
     }
 
     /// Samples the solved node drops at every cell location.
@@ -261,17 +259,26 @@ impl<'a> DynamicAnalysis<'a> {
     }
 }
 
-/// A per-thread dynamic-analysis context with reusable rail solvers.
+/// A per-thread dynamic-analysis context with reusable rail solvers and
+/// current-stamping buffers.
 ///
 /// Created by [`DynamicAnalysis::session`]. The solvers cold-start every
-/// solve (only allocations are reused), so a result never depends on
-/// which session solved it or what that session solved before — the
-/// property the parallel per-pattern loops rely on.
+/// solve and the stamping buffers are zero again after every pattern
+/// (only allocations are reused), so a result never depends on which
+/// session solved it or what that session solved before — the property
+/// the parallel per-pattern loops rely on.
 #[derive(Debug)]
 pub struct DynSession<'d, 'a> {
     analysis: &'d DynamicAnalysis<'a>,
     vdd: GridSolver<'d>,
     vss: GridSolver<'d>,
+    /// Rising / falling toggles per stamping key; zero between patterns.
+    counts: Vec<(u32, u32)>,
+    /// One bit per stamping key with a toggle; zero between patterns.
+    toggled: Vec<u64>,
+    /// Per-node rail currents of the pattern being solved.
+    node_vdd: Vec<f64>,
+    node_vss: Vec<f64>,
 }
 
 impl DynSession<'_, '_> {
@@ -290,10 +297,59 @@ impl DynSession<'_, '_> {
         trace: &ToggleTrace,
         window_ps: f64,
     ) -> IrDropMap {
-        let (node_vdd, node_vss) = self.analysis.rail_currents(annotation, trace, window_ps);
-        let node_drop_vdd_v = self.vdd.solve(&node_vdd);
-        let node_drop_vss_v = self.vss.solve(&node_vss);
+        self.rail_currents(annotation, trace, window_ps);
+        let node_drop_vdd_v = self.vdd.solve(&self.node_vdd);
+        let node_drop_vss_v = self.vss.solve(&self.node_vss);
         self.analysis.assemble_map(node_drop_vdd_v, node_drop_vss_v)
+    }
+
+    /// Stamps a trace's average per-rail currents onto the mesh nodes in
+    /// `node_vdd` / `node_vss`. Only the toggled nets are visited, and
+    /// their currents are summed onto nodes in stamping-key order (gates
+    /// by index, then flops), as a stamp over every cell would.
+    fn rail_currents(&mut self, annotation: &DelayAnnotation, trace: &ToggleTrace, window_ps: f64) {
+        let a = self.analysis;
+        let vdd = a.netlist.library.vdd;
+        let stw = window_ps.max(1.0);
+        for e in &trace.events {
+            let cell = a.net_cell[e.net.index()];
+            if cell == NO_CELL {
+                continue; // no cell on the die drives it
+            }
+            let c = &mut self.counts[cell as usize];
+            if *c == (0, 0) {
+                self.toggled[cell as usize / 64] |= 1 << (cell % 64);
+            }
+            if e.rising {
+                c.0 += 1;
+            } else {
+                c.1 += 1;
+            }
+        }
+        let nodes = a.grid.num_nodes();
+        for plane in [&mut self.node_vdd, &mut self.node_vss] {
+            plane.clear();
+            plane.resize(nodes, 0.0);
+        }
+        for (w, word) in self.toggled.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let cell = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let (rise, fall) = std::mem::take(&mut self.counts[cell]);
+                let cap = annotation.net_total_cap_ff(NetId::new(a.cell_net[cell]));
+                // Average current over the STW: Q = C·V per toggle; fF·V/ps = mA.
+                let i_vdd = rise as f64 * cap * vdd / stw * 1e-3;
+                let i_vss = fall as f64 * cap * vdd / stw * 1e-3;
+                let k = a.cell_node(cell);
+                if i_vdd != 0.0 {
+                    self.node_vdd[k] += i_vdd;
+                }
+                if i_vss != 0.0 {
+                    self.node_vss[k] += i_vss;
+                }
+            }
+        }
     }
 }
 

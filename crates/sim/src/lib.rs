@@ -16,7 +16,9 @@
 //!   one detection kernel,
 //! * [`EventSim`] — event-driven gate-level timing simulation producing a
 //!   [`ToggleTrace`] (the VCD substitute) and the per-pattern switching
-//!   time window (STW) that defines SCAP.
+//!   time window (STW) that defines SCAP; one exact femtosecond kernel
+//!   over a [`SimTable`] and [`GateDelays`], whose working buffers a
+//!   worker keeps in an [`EventScratch`] across patterns.
 //!
 //! # Example
 //!
@@ -51,7 +53,7 @@ mod sched;
 mod table;
 
 pub use batch::BatchSim;
-pub use event::{EventSim, ToggleEvent, ToggleTrace};
+pub use event::{EventScratch, EventSim, GateDelays, ToggleEvent, ToggleTrace};
 pub use fault::{CollapseMap, FaultList, FaultSite, Polarity, TransitionFault};
 pub use fault_sim::{DetectionSummary, PropagationScratch, TransitionFaultSim};
 pub use loc::LaunchMode;

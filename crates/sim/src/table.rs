@@ -12,7 +12,9 @@
 //!   gate `g` is `inputs[4 * g + k]` with no indirection,
 //! * per-net fanout gates in CSR form (`fan_off` / `fan`),
 //! * gate kinds, output nets, levels and the level-ordered evaluation
-//!   sequence as plain `u32`/`u8` arrays.
+//!   sequence as plain `u32`/`u8` arrays,
+//! * a 16-entry two-valued truth table per gate, for the event-driven
+//!   timing kernel.
 //!
 //! The table carries raw `u32` ids; callers convert at the boundary.
 
@@ -32,7 +34,7 @@ fn decode_pin(code: usize, k: usize) -> Logic {
 }
 
 /// Flat, cache-friendly view of a netlist's combinational structure.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct SimTable {
     num_nets: usize,
     num_gates: usize,
@@ -52,6 +54,10 @@ pub struct SimTable {
     lut: Vec<Logic>,
     /// Offset of each gate's truth-table block in `lut`.
     lut_base: Vec<u32>,
+    /// Two-valued truth table per gate: bit `c` is the output for the
+    /// input code `c` (pin `k` in bit `k`), derived from
+    /// [`CellKind::eval_bool`] over the real pins.
+    truth: Vec<u16>,
     output: Vec<u32>,
     gate_level: Vec<u32>,
     /// Level of the driving gate + 1; 0 for source nets.
@@ -84,7 +90,9 @@ impl SimTable {
         let mut num_levels = 0u32;
         let mut lut = Vec::new();
         let mut lut_base = Vec::with_capacity(num_gates);
+        let mut truth = Vec::with_capacity(num_gates);
         let mut lut_keys: Vec<(CellKind, u8)> = Vec::new();
+        let mut key_truth: Vec<u16> = Vec::new();
         for (gi, gate) in netlist.gates().iter().enumerate() {
             kind.push(gate.kind);
             let arity = gate.inputs.len() as u8;
@@ -106,10 +114,15 @@ impl SimTable {
                         }
                         lut.push(gate.kind.eval(&vals[..arity as usize]));
                     }
+                    key_truth.push((0..16).fold(0u16, |tt, code| {
+                        let ins: [bool; MAX_INPUTS] = std::array::from_fn(|k| code >> k & 1 == 1);
+                        tt | u16::from(gate.kind.eval_bool(&ins[..arity as usize])) << code
+                    }));
                     lut_keys.len() - 1
                 }
             };
             lut_base.push((slot * 256) as u32);
+            truth.push(key_truth[slot]);
         }
         let mut order = Vec::with_capacity(num_gates);
         for &g in lv.order() {
@@ -139,6 +152,7 @@ impl SimTable {
             inputs,
             lut,
             lut_base,
+            truth,
             output,
             gate_level,
             net_level,
@@ -207,6 +221,20 @@ impl SimTable {
         self.eval_coded(g, code)
     }
 
+    /// Evaluates gate `g` against a two-valued plane: the same four-read
+    /// gather as [`SimTable::eval_plane`] and one bit of the gate's
+    /// 16-entry truth table. Equal to `self.kind(g).eval_bool(..)` over
+    /// the real pins.
+    #[inline]
+    pub fn eval_bits(&self, g: usize, plane: &[bool]) -> bool {
+        let ins = self.inputs4(g);
+        let code = usize::from(plane[ins[0] as usize])
+            | usize::from(plane[ins[1] as usize]) << 1
+            | usize::from(plane[ins[2] as usize]) << 2
+            | usize::from(plane[ins[3] as usize]) << 3;
+        self.truth[g] >> code & 1 == 1
+    }
+
     /// Output net of gate `g` (raw net id).
     #[inline]
     pub fn output(&self, g: usize) -> u32 {
@@ -268,6 +296,37 @@ mod tests {
         assert_eq!(t.net_level(a.index()), 0);
         assert_eq!(t.num_levels(), 2);
         assert_eq!(t.order(), &[0, 1]);
+    }
+
+    #[test]
+    fn bit_evaluation_matches_eval_bool() {
+        let mut b = NetlistBuilder::new("t");
+        let blk = b.add_block("B1");
+        let pins: Vec<_> = (0..MAX_INPUTS)
+            .map(|k| b.add_primary_input(format!("p{k}")))
+            .collect();
+        for (i, kind) in CellKind::ALL.iter().enumerate() {
+            let y = b.add_net(format!("y{i}"));
+            b.add_gate(*kind, &pins[..kind.num_inputs()], y, blk)
+                .unwrap();
+        }
+        let n = b.finish().unwrap();
+        let t = SimTable::build(&n);
+        for code in 0..16usize {
+            let mut plane = vec![false; n.num_nets()];
+            for (k, p) in pins.iter().enumerate() {
+                plane[p.index()] = code >> k & 1 == 1;
+            }
+            for (g, gate) in n.gates().iter().enumerate() {
+                let ins: Vec<bool> = gate.inputs.iter().map(|i| plane[i.index()]).collect();
+                assert_eq!(
+                    t.eval_bits(g, &plane),
+                    gate.kind.eval_bool(&ins),
+                    "{:?} code {code:04b}",
+                    gate.kind
+                );
+            }
+        }
     }
 
     #[test]

@@ -234,7 +234,7 @@ for s in stages:
 totals = doc["totals"]
 for c in ("sat.solves", "sat.conflicts", "atpg.reclassified_untestable",
           "sta.runs", "sta.derated_runs", "sta.screen.patterns", "sta.screen.invalidated",
-          "cg.solves"):
+          "cg.solves", "sim.event_runs", "sim.toggle_events"):
     assert totals.get(c, 0) > 0, f"expected {c} > 0 in totals"
 by_name = {s["name"]: s for s in doc["stages"]}
 # The fleets buy crash isolation, not throughput: gate what the
@@ -247,7 +247,7 @@ for w in (2, 4):
         f"{w}-worker fleet at {rps:.1f} req/s is below {FLOOR}x one process ({solo:.1f})"
     print(f"cluster {w}w: {rps:.1f} req/s = {rps / solo:.2f}x one process ({solo:.1f} req/s)")
 PY
-        echo "BENCH_evaluation.json parses; fault-sim, SAT, STA, grid-solve and serving-tier numbers carried."
+        echo "BENCH_evaluation.json parses; fault-sim, SAT, STA, event-sim, grid-solve and serving-tier numbers carried."
     else
         echo "BENCH_evaluation.json not present; skipping."
     fi

@@ -16,15 +16,45 @@
 //! witnesses, but it must never move a verdict; the expected digests
 //! were recorded with the truth-table-row encoding the D-chain encoding
 //! replaced.
+//!
+//! The sign-off pin hashes what the paper's §3.2 sign-off computes from
+//! both flows' patterns: each pattern's toggle trace, SCAP energies,
+//! worst IR drops and the ×40 timing screen. A change to the event
+//! simulator, the SCAP calculator or the IR-drop path that moves one
+//! toggle or one bit of a result changes a digest. The expected digests
+//! were recorded with the `BinaryHeap` + `HashSet` event kernel that
+//! `crates/sim/tests/event_oracle.rs` keeps as the oracle.
 
 use scap::dft::{PatternSet, TestPattern};
 use scap::flows;
 use scap::sim::{FaultList, LaunchMode};
+use scap::sta::TimingScreen;
 use scap::tgen::{AtpgConfig, EngineKind, Generator, SatAtpg, SatOutcome};
-use scap::CaseStudy;
+use scap::{CaseStudy, PatternAnalyzer};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// 64-bit FNV-1a over a stream of little-endian words.
+#[derive(Clone, Copy)]
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(FNV_OFFSET)
+    }
+
+    fn word(&mut self, w: u64) {
+        for byte in w.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    fn f64(&mut self, x: f64) {
+        self.word(x.to_bits());
+    }
+}
 
 /// 64-bit FNV-1a over the pattern count, then every filled pattern's
 /// load bits and PI bits, one byte per bit and a separator per pattern.
@@ -132,4 +162,55 @@ fn sat_verdicts_are_pinned() {
         (0xf099_3060_f1d7_deb4, [2741, 633, 0]),
         "launch-off-shift SAT verdicts moved"
     );
+}
+
+/// FNV-1a over one pattern set's sign-off, pattern by pattern: toggle
+/// count and STW of the nominal trace; chip and per-block SCAP energies
+/// (VDD, VSS) and toggles from `power_profile`; worst VDD and VSS drops
+/// from `ir_drop_profile`; the ×40 screen's derated delay and verdict.
+fn signoff_digest(study: &CaseStudy, set: &PatternSet) -> u64 {
+    let analyzer = PatternAnalyzer::new(study);
+    let power = analyzer.power_profile(set);
+    let maps = analyzer.ir_drop_profile(&set.filled);
+    let screen = TimingScreen::run(study, set, 40.0);
+    let mut h = Fnv::new();
+    h.word(set.len() as u64);
+    for (i, filled) in set.filled.iter().enumerate() {
+        let trace = analyzer.trace(filled);
+        h.word(trace.num_toggles() as u64);
+        h.f64(trace.stw_ps());
+        let p = &power[i];
+        h.f64(p.stw_ps);
+        for b in std::iter::once(&p.chip).chain(&p.blocks) {
+            h.f64(b.energy_vdd_fj);
+            h.f64(b.energy_vss_fj);
+            h.word(u64::from(b.toggles));
+        }
+        h.f64(maps[i].worst_drop_vdd());
+        h.f64(maps[i].worst_drop_vss());
+        h.f64(screen.max_derated_delay_ps[i]);
+        h.word(u64::from(screen.invalidated[i]));
+    }
+    h.f64(screen.budget_ps);
+    h.0
+}
+
+#[test]
+fn signoff_outputs_are_pinned() {
+    let study = CaseStudy::small();
+    let got = [
+        (
+            "conventional",
+            signoff_digest(&study, &flows::conventional(&study).patterns),
+        ),
+        (
+            "noise_aware",
+            signoff_digest(&study, &flows::noise_aware(&study).patterns),
+        ),
+    ];
+    let want = [
+        ("conventional", 0xbc18_618c_cbab_13f7),
+        ("noise_aware", 0x9752_928a_e59b_9f47),
+    ];
+    assert_eq!(got, want, "sign-off digests moved: {got:#x?}");
 }
