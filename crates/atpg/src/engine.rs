@@ -287,9 +287,9 @@ impl<'a> Podem<'a> {
         let pi_net: Vec<u32> = netlist.primary_inputs().iter().map(|p| p.raw()).collect();
         let xload = vec![Logic::X; netlist.num_flops()];
         let xpi = vec![Logic::X; netlist.primary_inputs().len()];
-        let base_frame1 = sim.eval(&xload, &xpi, None);
+        let base_frame1 = sim.eval(&xload, &xpi);
         let base_state2 = loc::launch_state(&state2_src, &xload, &base_frame1, Logic::Zero);
-        let base_good2 = sim.eval(&base_state2, &xpi, None);
+        let base_good2 = sim.eval(&base_state2, &xpi);
         // Watch lists for the dirty resync: which flops must recompute
         // their frame-2 state when a frame-1 net / a load bit changes.
         let num_flops = netlist.num_flops();
@@ -413,9 +413,9 @@ impl<'a> Podem<'a> {
     /// Full (re)initialisation of the scratch planes from `pattern`.
     fn rebuild(&self, pattern: &TestPattern, s: &mut PodemScratch) {
         let netlist = self.sim.netlist();
-        s.frame1 = self.sim.eval(&pattern.load, &pattern.pi, None);
+        s.frame1 = self.sim.eval(&pattern.load, &pattern.pi);
         let state2 = loc::launch_state(&self.state2_src, &pattern.load, &s.frame1, Logic::Zero);
-        s.good2 = self.sim.eval(&state2, &pattern.pi, None);
+        s.good2 = self.sim.eval(&state2, &pattern.pi);
         s.faulty2.clear();
         s.faulty2.resize(netlist.num_nets(), Logic::X);
         s.queue

@@ -178,22 +178,6 @@ impl AtpgRun {
         }
         self.num_detected() as f64 / self.status.len() as f64
     }
-
-    /// Merges another run's patterns and statuses (for the staged
-    /// procedure: run per block group, then concatenate). Both runs must
-    /// be over the same fault list length or disjoint lists — the caller
-    /// tracks which; this helper simply concatenates patterns and keeps
-    /// its own statuses.
-    pub fn append_patterns(&mut self, other: AtpgRun) {
-        let offset = self.patterns.len();
-        self.patterns.extend(other.patterns);
-        self.coverage_curve.extend(
-            other
-                .coverage_curve
-                .into_iter()
-                .map(|(p, d)| (p + offset, d)),
-        );
-    }
 }
 
 /// Drives [`Podem`] (and optionally [`SatAtpg`]) over a fault list.

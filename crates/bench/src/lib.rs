@@ -1,13 +1,14 @@
-//! Shared fixtures for the benchmark harness.
+//! Shared fixtures for the `kernels` micro-benchmarks.
 //!
-//! Every bench prints its paper-style rows once (outside the measured
-//! region) and then benchmarks a representative kernel. The case study and
-//! the two ATPG flows are expensive, so they are built once per process
-//! and shared.
+//! The paper's tables and figures are regenerated by the `evaluation`
+//! binary (`cargo run --release -p scap-bench --bin evaluation [scale]`),
+//! which also writes `BENCH_evaluation.json`; the criterion benches here
+//! only time individual kernels. The case study and the conventional
+//! flow are expensive, so they are built once per process and shared.
 //!
-//! The design scale defaults to `0.01` (≈230 flops) so the full
-//! `cargo bench` sweep finishes in minutes; set `SCAP_BENCH_SCALE` to run
-//! the evaluation at a larger size (e.g. `SCAP_BENCH_SCALE=0.05`).
+//! The design scale defaults to `0.01` (≈230 flops); set
+//! `SCAP_BENCH_SCALE` to time the kernels on a larger design (e.g.
+//! `SCAP_BENCH_SCALE=0.05`).
 
 use scap::flows::{self, FlowResult};
 use scap::CaseStudy;
@@ -37,14 +38,5 @@ pub fn conventional() -> &'static FlowResult {
     CONV.get_or_init(|| {
         eprintln!("[scap-bench] running conventional random-fill ATPG …");
         flows::conventional(study())
-    })
-}
-
-/// The shared noise-aware flow result.
-pub fn noise_aware() -> &'static FlowResult {
-    static NA: OnceLock<FlowResult> = OnceLock::new();
-    NA.get_or_init(|| {
-        eprintln!("[scap-bench] running noise-aware staged ATPG …");
-        flows::noise_aware(study())
     })
 }

@@ -11,7 +11,6 @@
 //! scap sta      --scale 0.01 [--derate] [--paths N]     slack analysis
 //! scap serve    --addr 127.0.0.1:7878                   resident HTTP API
 //! scap cluster  --workers 4 [--port 7900]               crash-isolated serving
-//! scap evaluate                                         every table + figure
 //! ```
 //!
 //! Everything is regenerated deterministically from `--scale`/`--seed`,
@@ -21,7 +20,7 @@
 //! identically. Parse errors return `ExitCode::from(2)` (destructors
 //! run; nothing calls `process::exit`).
 
-use scap::{ablation, compact_patterns, experiments, flows, schedule, CaseStudy};
+use scap::{ablation, compact_patterns, experiments, schedule, CaseStudy};
 use scap_serve::flow::FlowSpec;
 use scap_serve::params::Args;
 use std::process::ExitCode;
@@ -42,7 +41,7 @@ macro_rules! try_flag {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: scap <generate|atpg|profile|schedule|sta|lint|serve|cluster|evaluate> [--scale S] [--seed N] [--threads N] [options]\n\
+        "usage: scap <generate|atpg|profile|schedule|sta|lint|serve|cluster> [--scale S] [--seed N] [--threads N] [options]\n\
          \n  generate   build the case-study SOC; Tables 1-2; --verilog FILE to dump netlist\
          \n  atpg       run a flow: --flow conventional|noise-aware (default noise-aware),\
          \n             --fill random-fill|fill-0|fill-1|fill-adjacent, --stil FILE, --compact,\
@@ -70,7 +69,6 @@ fn usage() -> ExitCode {
          \n             (default 2), --addr HOST:PORT / --port P (default\
          \n             127.0.0.1:7900), --probe-ms MS (default 500), plus per-worker\
          \n             --worker-threads, --queue-depth, --cache-capacity, --cache-cap\
-         \n  evaluate   every table and figure of the paper (long)\
          \n\
          \n  --threads N  worker threads for the parallel hot loops; always wins\
          \n               (precedence: --threads, then SCAP_THREADS env, then cores)"
@@ -102,7 +100,6 @@ fn main() -> ExitCode {
         "lint" => lint(&args),
         "serve" => scap_serve::serve_main(&args),
         "cluster" => cluster(&args),
-        "evaluate" => evaluate(&args),
         _ => usage(),
     }
 }
@@ -384,38 +381,6 @@ fn cluster(args: &Args) -> ExitCode {
             ExitCode::FAILURE
         }
     }
-}
-
-fn evaluate(args: &Args) -> ExitCode {
-    let study = try_flag!(build_study(args));
-    let report = experiments::table1(&study);
-    println!("{}", experiments::render_table1(&report));
-    let t3 = experiments::table3(&study);
-    println!("{}", experiments::render_table3(&study, &t3));
-    let conv = flows::conventional(&study);
-    let na = flows::noise_aware(&study);
-    println!(
-        "{}",
-        experiments::render_table4(&experiments::table4(&study, &conv))
-    );
-    println!(
-        "{}",
-        experiments::render_scap_series("Figure 2", &experiments::fig2(&study, &conv))
-    );
-    println!(
-        "{}",
-        experiments::render_scap_series("Figure 6", &experiments::fig6(&study, &na))
-    );
-    println!(
-        "{}",
-        experiments::render_fig3(&study, &experiments::fig3(&study, &conv))
-    );
-    println!("{}", experiments::render_fig4(&conv, &na));
-    println!(
-        "{}",
-        experiments::render_fig7(&experiments::fig7(&study, &na))
-    );
-    ExitCode::SUCCESS
 }
 
 /// `scap sta` — per-endpoint slack analysis of the generated design:

@@ -74,12 +74,6 @@ impl CaseStudy {
         Self::new(0.005)
     }
 
-    /// The default experiment size (a couple of thousand flops; the full
-    /// evaluation completes in minutes).
-    pub fn default_experiment() -> Self {
-        Self::new(0.02)
-    }
-
     /// The dominant clock domain (`clka`).
     pub fn clka(&self) -> ClockId {
         self.design.dominant_clock()

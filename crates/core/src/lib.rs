@@ -39,12 +39,10 @@
 pub mod ablation;
 mod analyzer;
 mod case_study;
-pub mod diagnose;
 pub mod experiments;
 pub mod flows;
 mod grade;
 pub mod schedule;
-pub mod sdd;
 pub mod sta;
 
 pub use analyzer::{EndpointDelayReport, PatternAnalyzer};

@@ -170,11 +170,6 @@ impl LintReport {
         self.count(Severity::Warn)
     }
 
-    /// Findings produced by one rule.
-    pub fn by_rule(&self, rule: &str) -> Vec<&Finding> {
-        self.findings.iter().filter(|f| f.rule == rule).collect()
-    }
-
     /// Renders the human-readable report.
     pub fn render_text(&self) -> String {
         let mut out = String::new();

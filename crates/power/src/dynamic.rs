@@ -9,7 +9,7 @@
 
 use crate::grid::CellNodes;
 use crate::{GridConfig, GridSolver, PowerGrid};
-use scap_netlist::{BlockId, Floorplan, FlopId, GateId, NetId, NetSource, Netlist, Point};
+use scap_netlist::{BlockId, Floorplan, GateId, NetId, NetSource, Netlist, Point};
 use scap_sim::ToggleTrace;
 use scap_timing::DelayAnnotation;
 
@@ -28,20 +28,10 @@ pub struct IrDropMap {
 }
 
 impl IrDropMap {
-    /// VDD drop seen by a gate, V.
-    pub fn gate_drop_vdd(&self, g: GateId) -> f64 {
-        self.gate_drop_vdd_v[g.index()]
-    }
-
     /// Total supply compression seen by a gate (VDD drop + ground bounce),
     /// the ΔV that scales its delay.
     pub fn gate_drop_total(&self, g: GateId) -> f64 {
         self.gate_drop_vdd_v[g.index()] + self.gate_drop_vss_v[g.index()]
-    }
-
-    /// Total supply compression seen by a flop, V.
-    pub fn flop_drop_total(&self, f: FlopId) -> f64 {
-        self.flop_drop_vdd_v[f.index()] + self.flop_drop_vss_v[f.index()]
     }
 
     /// Per-gate total droop vector (for `scap_timing::scaling`).

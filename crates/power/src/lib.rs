@@ -29,10 +29,8 @@ mod grid;
 mod scap;
 mod solve;
 mod statistical;
-mod waveform;
 
 pub use dynamic::{DynSession, DynamicAnalysis, IrDropMap};
 pub use grid::{GridConfig, GridSolver, PowerGrid};
 pub use scap::{BlockPower, PatternPower, ScapCalculator};
 pub use statistical::{BlockStatistics, StatisticalAnalysis, StatisticalReport};
-pub use waveform::PowerWaveform;

@@ -76,21 +76,6 @@ impl PatternPower {
         self.blocks[block.index()].power_vdd_mw(self.stw_ps)
     }
 
-    /// SCAP of a block's VSS network, mW.
-    pub fn scap_vss_mw(&self, block: BlockId) -> f64 {
-        self.blocks[block.index()].power_vss_mw(self.stw_ps)
-    }
-
-    /// CAP of a block's VDD network, mW.
-    pub fn cap_vdd_mw(&self, block: BlockId) -> f64 {
-        self.blocks[block.index()].power_vdd_mw(self.period_ps)
-    }
-
-    /// CAP of a block's VSS network, mW.
-    pub fn cap_vss_mw(&self, block: BlockId) -> f64 {
-        self.blocks[block.index()].power_vss_mw(self.period_ps)
-    }
-
     /// Chip-level SCAP on VDD, mW.
     pub fn chip_scap_vdd_mw(&self) -> f64 {
         self.chip.power_vdd_mw(self.stw_ps)

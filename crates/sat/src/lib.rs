@@ -12,8 +12,8 @@
 //!
 //! The solver is deliberately plain `std`: no allocator tricks, no
 //! unsafe, no dependencies — every structure is a `Vec`. Clauses live
-//! in a flat literal arena indexed by [`ClauseRef`]s, so the hot
-//! propagation loop touches two contiguous slices and a watch list.
+//! in a flat literal arena indexed by `u32` clause references, so the
+//! hot propagation loop touches two contiguous slices and a watch list.
 //!
 //! # Example
 //!
@@ -276,11 +276,6 @@ impl Solver {
             var_inc: 1.0,
             ..Solver::default()
         }
-    }
-
-    /// Number of variables created.
-    pub fn num_vars(&self) -> usize {
-        self.assign.len()
     }
 
     /// Search statistics so far.

@@ -569,7 +569,9 @@ pub fn sleep(p: &SleepParams) -> Response {
 mod tests {
     use super::*;
     use crate::flow::{parse_engine, parse_fill, FlowKind};
+    use proptest::prelude::*;
     use scap::dft::FillPolicy;
+    use scap::soc::MIN_SCALE;
     use scap::tgen::EngineKind;
 
     #[test]
@@ -637,5 +639,144 @@ mod tests {
         );
         assert!(SleepParams::parse(&Args::from_query("ms=90000")).is_err());
         assert!(SleepParams::parse(&Args::from_query("ms=abc")).is_err());
+    }
+
+    /// Key sets the soup draws from: each endpoint's own keys (so some
+    /// requests parse), then all of them.
+    const KEY_SETS: [&[&str]; 5] = [
+        &["scale", "seed", "deadline_ms"],
+        &["scale", "seed", "k", "paths"],
+        &["scale", "flow", "fill", "engine", "budget"],
+        &["ms", "deadline_ms"],
+        &[
+            "scale",
+            "seed",
+            "k",
+            "paths",
+            "budget",
+            "ms",
+            "deadline_ms",
+            "flow",
+            "fill",
+            "engine",
+        ],
+    ];
+
+    /// Each key's edge values, about half of them accepted: both
+    /// neighbours of every bound, signed zero, subnormals, `NaN`,
+    /// infinities, overflows and misspellings.
+    fn edge_values(key: &str) -> &'static [&'static str] {
+        match key {
+            "scale" => &["0.0004", "0.00039", "0.02", "1", "1.0000001", "NaN", "-inf"],
+            "seed" => &["0", "18446744073709551615", "18446744073709551616", "-1"],
+            "k" | "budget" => &[
+                "-0", "0", "NaN", "inf", "-inf", "1e400", "1e-320", "0.5", "4.5", "1e308",
+            ],
+            "paths" | "deadline_ms" => &["0", "1", "3", "18446744073709551615", "1e3", "-1"],
+            "ms" => &["0", "250", "60000", "60001", "1e3"],
+            "flow" => &["conventional", "noise-aware", "fast"],
+            "fill" => &["fill-0", "random-fill", "ones"],
+            "engine" => &["podem", "sat", "hybrid", "cnf"],
+            _ => &["0", "1"],
+        }
+    }
+
+    /// Up to `pairs` `key=value` pairs of byte soup over `keys`, decoded
+    /// lossily. A value is mostly one of the key's edge values, else a
+    /// string of digits, `.`, `e`, `-`, `+`, escapes, separators and
+    /// raw bytes; `=` and `&` are sometimes dropped and a raw byte
+    /// sometimes replaces a key.
+    fn param_soup(keys: &[&str], pairs: usize, seed: u64) -> String {
+        const PIECES: [&str; 16] = [
+            "0", "1", "4", "9", ".", "e", "-", "+", "%", "%2", "%3D", "%26", "=", "&", "NaN", "inf",
+        ];
+        let mut state = seed | 1;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 32) as usize
+        };
+        let mut bytes = Vec::new();
+        for i in 0..pairs {
+            if i > 0 && next() % 8 != 0 {
+                bytes.push(b'&');
+            }
+            let key = keys[next() % keys.len()];
+            match next() % 8 {
+                0 => bytes.push(next() as u8),
+                _ => bytes.extend_from_slice(key.as_bytes()),
+            }
+            if next() % 6 == 0 {
+                continue;
+            }
+            bytes.push(b'=');
+            if next() % 4 != 0 {
+                let edges = edge_values(key);
+                bytes.extend_from_slice(edges[next() % edges.len()].as_bytes());
+                continue;
+            }
+            for _ in 0..next() % 4 {
+                match next() % 5 {
+                    0 => bytes.push(next() as u8),
+                    _ => bytes.extend_from_slice(PIECES[next() % PIECES.len()].as_bytes()),
+                }
+            }
+        }
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        /// Every parameter parser returns (never panics) on arbitrary
+        /// query and body bytes, and whatever it accepts lies within its
+        /// documented bounds and keys the response cache the same way
+        /// on every parse of the same request.
+        #[test]
+        fn request_parameters_never_panic_and_stay_in_bounds(
+            keys in 0usize..KEY_SETS.len(),
+            query_pairs in 0usize..4,
+            body_pairs in 0usize..4,
+            seed in any::<u64>(),
+        ) {
+            let keys = KEY_SETS[keys];
+            let query = param_soup(keys, query_pairs, seed);
+            let body = param_soup(keys, body_pairs, seed.rotate_left(29) ^ 0x9e37_79b9_7f4a_7c15);
+            let args = Args::from_request(&query, &body);
+            let again = Args::from_request(&query, &body);
+            let scale_ok = |c: &CommonParams| (MIN_SCALE..=1.0).contains(&c.scale);
+            if let Ok(d) = crate::deadline_of(&args, std::time::Duration::from_secs(60)) {
+                prop_assert!(!d.is_zero());
+            }
+            if let Ok(p) = DesignParams::parse(&args) {
+                prop_assert!(scale_ok(&p.common));
+                prop_assert_eq!(p.cache_key(), DesignParams::parse(&again).unwrap().cache_key());
+            }
+            if let Ok(p) = LintParams::parse(&args) {
+                prop_assert!(scale_ok(&p.common));
+                prop_assert_eq!(p.cache_key(), LintParams::parse(&again).unwrap().cache_key());
+            }
+            if let Ok(p) = StaParams::parse(&args) {
+                prop_assert!(scale_ok(&p.common));
+                prop_assert!(p.k.is_finite() && p.k > 0.0, "k = {}", p.k);
+                prop_assert!(p.paths >= 1);
+                prop_assert_eq!(p.cache_key(), StaParams::parse(&again).unwrap().cache_key());
+            }
+            if let Ok(p) = ProfileParams::parse(&args) {
+                prop_assert!(scale_ok(&p.common));
+                prop_assert_eq!(p.cache_key(), ProfileParams::parse(&again).unwrap().cache_key());
+            }
+            if let Ok(p) = ScheduleParams::parse(&args) {
+                prop_assert!(scale_ok(&p.common));
+                if let Some(b) = p.budget_mw {
+                    prop_assert!(b.is_finite() && b > 0.0, "budget = {}", b);
+                }
+                prop_assert_eq!(p.cache_key(), ScheduleParams::parse(&again).unwrap().cache_key());
+            }
+            if let Ok(p) = SleepParams::parse(&args) {
+                prop_assert!(p.ms <= 60_000, "ms = {}", p.ms);
+            }
+        }
     }
 }

@@ -120,15 +120,6 @@ impl<'a> BatchSim<'a> {
             values[t.output(g) as usize] = t.kind(g).eval_word(&inbuf[..ins.len()]);
         }
     }
-
-    /// Next-state extraction: the D-input word of every flop.
-    pub fn next_state(&self, values: &[u64]) -> Vec<u64> {
-        self.netlist
-            .flops()
-            .iter()
-            .map(|f| values[f.d.index()])
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -201,7 +192,6 @@ mod tests {
                         .map(|&b| Logic::from(b))
                         .collect::<Vec<_>>(),
                     &pi_bits.iter().map(|&b| Logic::from(b)).collect::<Vec<_>>(),
-                    None,
                 );
                 for i in 0..n.num_nets() {
                     assert_eq!(

@@ -189,14 +189,7 @@ impl<'a> TransitionFaultSim<'a> {
         if launch == 0 {
             return 0;
         }
-        self.propagate_diff(
-            &frames.frame2,
-            valid_mask,
-            fault,
-            launch,
-            scratch,
-            |_, _| {},
-        )
+        self.propagate_diff(&frames.frame2, valid_mask, fault, launch, scratch)
     }
 
     /// The valid lanes that launch `fault`'s transition at its site (0
@@ -216,10 +209,8 @@ impl<'a> TransitionFaultSim<'a> {
     }
 
     /// Seeds the fault effect and runs the level-ordered word propagation
-    /// shared by [`TransitionFaultSim::detect_one`] and
-    /// [`TransitionFaultSim::signature_one`]; `on_observed` sees each
-    /// observed (net, diff) pair. `good2` is the fault-free frame-2 word
-    /// plane the faulty machine is diffed against.
+    /// behind [`TransitionFaultSim::detect_one`]. `good2` is the
+    /// fault-free frame-2 word plane the faulty machine is diffed against.
     fn propagate_diff(
         &self,
         good2: &[u64],
@@ -227,7 +218,6 @@ impl<'a> TransitionFaultSim<'a> {
         fault: TransitionFault,
         launch: u64,
         scratch: &mut PropagationScratch,
-        mut on_observed: impl FnMut(u32, u64),
     ) -> u64 {
         let t = self.batch.table();
         scratch.ensure(t.num_nets(), self.num_levels as usize, t.num_gates());
@@ -239,7 +229,6 @@ impl<'a> TransitionFaultSim<'a> {
                 scratch.seed(ni, launch);
                 if self.observed[ni] {
                     detected |= launch;
-                    on_observed(n.raw(), launch);
                 }
                 for &g in t.fanout(ni) {
                     scratch.queue.push(t.gate_level(g as usize) + 1, g);
@@ -264,7 +253,6 @@ impl<'a> TransitionFaultSim<'a> {
                 scratch.seed(out, diff);
                 if self.observed[out] {
                     detected |= diff;
-                    on_observed(out as u32, diff);
                 }
                 for &succ in t.fanout(out) {
                     scratch.queue.push(t.gate_level(succ as usize) + 1, succ);
@@ -288,7 +276,6 @@ impl<'a> TransitionFaultSim<'a> {
                 scratch.seed(out, diff);
                 if self.observed[out] {
                     detected |= diff;
-                    on_observed(out as u32, diff);
                 }
                 for &succ in t.fanout(out) {
                     scratch.queue.push(t.gate_level(succ as usize) + 1, succ);
@@ -296,35 +283,6 @@ impl<'a> TransitionFaultSim<'a> {
             }
         }
         detected
-    }
-
-    /// Like [`TransitionFaultSim::detect_one`] but also returns, for each
-    /// observation point the fault reaches, the mask of patterns whose
-    /// capture would mismatch — the fault's *failure signature*. Used by
-    /// diagnosis.
-    pub fn signature_one(
-        &self,
-        frames: &BatchFrames,
-        valid_mask: u64,
-        fault: TransitionFault,
-        scratch: &mut PropagationScratch,
-    ) -> Vec<(scap_netlist::NetId, u64)> {
-        // Same propagation as `detect_one`, collecting observed diffs
-        // rather than OR-ing them together.
-        let launch = self.launch_mask(frames, valid_mask, fault);
-        if launch == 0 {
-            return Vec::new();
-        }
-        let mut signature = Vec::new();
-        self.propagate_diff(
-            &frames.frame2,
-            valid_mask,
-            fault,
-            launch,
-            scratch,
-            |net, diff| signature.push((scap_netlist::NetId::new(net), diff)),
-        );
-        signature
     }
 }
 

@@ -3,8 +3,8 @@
 //! This crate replaces the simulation half of the paper's commercial flow
 //! (Synopsys VCS + PLI):
 //!
-//! * [`LogicSim`] — levelized three-valued (`0/1/X`) zero-delay simulation,
-//!   with optional fault injection (used by the ATPG engine),
+//! * [`LogicSim`] — levelized three-valued (`0/1/X`) zero-delay simulation
+//!   (PODEM's good-machine frames),
 //! * [`loc`] — the two-frame transition-fault model every engine shares:
 //!   the launch rule ([`loc::state2_sources`] / [`loc::launch_state`] for
 //!   launch-off-capture and launch-off-shift) and the observability map
@@ -34,7 +34,7 @@
 //! b.add_gate(CellKind::Inv, &[a], y, blk)?;
 //! let n = b.finish()?;
 //! let sim = LogicSim::new(&n);
-//! let values = sim.eval(&[], &[Logic::One], None);
+//! let values = sim.eval(&[], &[Logic::One]);
 //! assert_eq!(values[y.index()], Logic::Zero);
 //! # Ok(())
 //! # }
@@ -57,6 +57,6 @@ pub use event::{EventScratch, EventSim, GateDelays, ToggleEvent, ToggleTrace};
 pub use fault::{CollapseMap, FaultList, FaultSite, Polarity, TransitionFault};
 pub use fault_sim::{DetectionSummary, PropagationScratch, TransitionFaultSim};
 pub use loc::LaunchMode;
-pub use logic_sim::{Injection, LogicSim};
+pub use logic_sim::LogicSim;
 pub use sched::LevelQueue;
 pub use table::SimTable;

@@ -180,9 +180,9 @@ pub fn loc_frames(
     active_clock: ClockId,
 ) -> Frames {
     let src = state2_sources(sim.netlist(), active_clock, LaunchMode::Capture);
-    let frame1 = sim.eval(load, pi, None);
+    let frame1 = sim.eval(load, pi);
     let state2 = launch_state(&src, load, &frame1, Logic::Zero);
-    let frame2 = sim.eval(&state2, pi, None);
+    let frame2 = sim.eval(&state2, pi);
     Frames {
         frame1,
         frame2,

@@ -1,17 +1,6 @@
-//! Levelized three-valued zero-delay simulation with fault injection.
+//! Levelized three-valued zero-delay simulation.
 
-use crate::FaultSite;
 use scap_netlist::{Levelization, Logic, NetSource, Netlist};
-
-/// A forced value at a fault site, used by the ATPG engine to build the
-/// faulty machine.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Injection {
-    /// Where to force.
-    pub site: FaultSite,
-    /// The forced (stuck) value.
-    pub value: Logic,
-}
 
 /// Levelized three-valued simulator over one netlist.
 ///
@@ -32,7 +21,7 @@ pub struct Injection {
 /// b.add_gate(CellKind::Inv, &[a], y, blk)?;
 /// let n = b.finish()?;
 /// let sim = LogicSim::new(&n);
-/// assert_eq!(sim.eval(&[], &[Logic::X], None)[y.index()], Logic::X);
+/// assert_eq!(sim.eval(&[], &[Logic::X])[y.index()], Logic::X);
 /// # Ok(())
 /// # }
 /// ```
@@ -80,17 +69,15 @@ impl<'a> LogicSim<'a> {
     /// Evaluates all nets given per-flop Q values and per-PI values.
     ///
     /// * `flop_q[i]` is the state of flop `i` (X allowed),
-    /// * `pi[i]` is the value of the `i`-th primary input,
-    /// * `inject` optionally forces a fault site to a value (the faulty
-    ///   machine). A `Net` site overrides the net's computed value; a
-    ///   `Pin` site overrides the value *seen by that gate pin only*.
+    /// * `pi[i]` is the value of the `i`-th primary input.
     ///
-    /// Returns one [`Logic`] per net, indexable by [`NetId::index`].
+    /// Returns one [`Logic`] per net, indexable by
+    /// [`NetId::index`](scap_netlist::NetId::index).
     ///
     /// # Panics
     ///
     /// Panics if the slices don't match the netlist's flop / PI counts.
-    pub fn eval(&self, flop_q: &[Logic], pi: &[Logic], inject: Option<Injection>) -> Vec<Logic> {
+    pub fn eval(&self, flop_q: &[Logic], pi: &[Logic]) -> Vec<Logic> {
         let n = self.netlist;
         assert_eq!(flop_q.len(), n.num_flops(), "one value per flop");
         assert_eq!(pi.len(), n.primary_inputs().len(), "one value per PI");
@@ -106,62 +93,21 @@ impl<'a> LogicSim<'a> {
                 values[i] = Logic::from_bool(c);
             }
         }
-        let (net_inject, pin_inject) = match inject {
-            Some(Injection {
-                site: FaultSite::Net(net),
-                value,
-            }) => (Some((net, value)), None),
-            Some(Injection {
-                site: FaultSite::Pin { gate, pin },
-                value,
-            }) => (None, Some((gate, pin, value))),
-            None => (None, None),
-        };
-        // Apply net injection to source nets too (PI / flop Q stems).
-        if let Some((net, v)) = net_inject {
-            if !matches!(n.net(net).source, Some(NetSource::Gate(_))) {
-                values[net.index()] = v;
-            }
-        }
         let mut inbuf: Vec<Logic> = Vec::with_capacity(4);
         for &g in self.levelization.order() {
             let gate = n.gate(g);
             inbuf.clear();
-            for (pin, &inp) in gate.inputs.iter().enumerate() {
-                let mut v = values[inp.index()];
-                if let Some((ig, ipin, iv)) = pin_inject {
-                    if ig == g && ipin as usize == pin {
-                        v = iv;
-                    }
-                }
-                inbuf.push(v);
-            }
-            let mut out = gate.kind.eval(&inbuf);
-            if let Some((net, v)) = net_inject {
-                if net == gate.output {
-                    out = v;
-                }
-            }
-            values[gate.output.index()] = out;
+            inbuf.extend(gate.inputs.iter().map(|inp| values[inp.index()]));
+            values[gate.output.index()] = gate.kind.eval(&inbuf);
         }
         values
-    }
-
-    /// Convenience: frame-independent evaluation returning the D-input
-    /// values of all flops (the next state).
-    pub fn next_state(&self, values: &[Logic]) -> Vec<Logic> {
-        self.netlist
-            .flops()
-            .iter()
-            .map(|f| values[f.d.index()])
-            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scap_netlist::{CellKind, ClockEdge, GateId, NetlistBuilder};
+    use scap_netlist::{CellKind, ClockEdge, NetlistBuilder};
 
     /// xor = a ^ q; d = !xor; flop(d -> q)
     fn toy() -> Netlist {
@@ -182,83 +128,19 @@ mod tests {
     fn evaluates_known_values() {
         let n = toy();
         let sim = LogicSim::new(&n);
-        let v = sim.eval(&[Logic::One], &[Logic::Zero], None);
+        let v = sim.eval(&[Logic::One], &[Logic::Zero]);
         // x = 0 ^ 1 = 1, d = 0
         assert_eq!(v[2], Logic::One);
         assert_eq!(v[3], Logic::Zero);
-        assert_eq!(sim.next_state(&v), vec![Logic::Zero]);
     }
 
     #[test]
     fn x_propagates() {
         let n = toy();
         let sim = LogicSim::new(&n);
-        let v = sim.eval(&[Logic::X], &[Logic::One], None);
+        let v = sim.eval(&[Logic::X], &[Logic::One]);
         assert_eq!(v[2], Logic::X);
         assert_eq!(v[3], Logic::X);
-    }
-
-    #[test]
-    fn net_injection_overrides_gate_output() {
-        let n = toy();
-        let sim = LogicSim::new(&n);
-        let x_net = scap_netlist::NetId::new(2);
-        let v = sim.eval(
-            &[Logic::One],
-            &[Logic::Zero],
-            Some(Injection {
-                site: FaultSite::Net(x_net),
-                value: Logic::Zero,
-            }),
-        );
-        assert_eq!(v[2], Logic::Zero);
-        // Downstream sees the forced value: d = !0 = 1.
-        assert_eq!(v[3], Logic::One);
-    }
-
-    #[test]
-    fn pin_injection_affects_only_that_branch() {
-        // y = a; two readers: inv1(y) -> z1, inv2(y) -> z2.
-        let mut b = NetlistBuilder::new("d");
-        let blk = b.add_block("B1");
-        let a = b.add_primary_input("a");
-        let z1 = b.add_net("z1");
-        let z2 = b.add_net("z2");
-        b.add_gate(CellKind::Inv, &[a], z1, blk).unwrap();
-        b.add_gate(CellKind::Inv, &[a], z2, blk).unwrap();
-        b.add_primary_output(z1);
-        b.add_primary_output(z2);
-        let n = b.finish().unwrap();
-        let sim = LogicSim::new(&n);
-        let v = sim.eval(
-            &[],
-            &[Logic::One],
-            Some(Injection {
-                site: FaultSite::Pin {
-                    gate: GateId::new(0),
-                    pin: 0,
-                },
-                value: Logic::Zero,
-            }),
-        );
-        assert_eq!(v[z1.index()], Logic::One, "faulty branch");
-        assert_eq!(v[z2.index()], Logic::Zero, "healthy branch");
-    }
-
-    #[test]
-    fn injection_on_primary_input_stem() {
-        let n = toy();
-        let sim = LogicSim::new(&n);
-        let a = n.primary_inputs()[0];
-        let v = sim.eval(
-            &[Logic::One],
-            &[Logic::Zero],
-            Some(Injection {
-                site: FaultSite::Net(a),
-                value: Logic::One,
-            }),
-        );
-        assert_eq!(v[a.index()], Logic::One);
     }
 
     #[test]
@@ -266,6 +148,6 @@ mod tests {
     fn validates_state_width() {
         let n = toy();
         let sim = LogicSim::new(&n);
-        let _ = sim.eval(&[], &[Logic::Zero], None);
+        let _ = sim.eval(&[], &[Logic::Zero]);
     }
 }

@@ -193,7 +193,7 @@ impl SimTable {
         &self.inputs[g * MAX_INPUTS..g * MAX_INPUTS + self.n_in[g] as usize]
     }
 
-    /// Input nets of gate `g` padded to [`MAX_INPUTS`] by repeating pin 0
+    /// Input nets of gate `g` padded to four pins by repeating pin 0
     /// (branch-free gather companion of [`SimTable::eval_coded`]).
     #[inline]
     pub fn inputs4(&self, g: usize) -> &[u32] {

@@ -3,9 +3,10 @@
 //! [`TransitionFaultSim::detect_batch_with_scratch`] grades up to 64
 //! fully specified patterns per gate evaluation; these properties pin
 //! it, lane for lane, to the scalar three-valued machinery ([`LogicSim`]
-//! with fault injection) on randomized, randomly and partially stitched
-//! netlists under both launch modes — including partially filled final
-//! batches, where stale lanes must never leak into a detection mask.
+//! plus the fault injection of [`eval_injected`]) on randomized, randomly
+//! and partially stitched netlists under both launch modes — including
+//! partially filled final batches, where stale lanes must never leak into
+//! a detection mask.
 //!
 //! The scalar oracle derives the launch state itself: the active domain's
 //! D values for launch-off-capture, and for launch-off-shift the load of
@@ -20,7 +21,7 @@ use scap_netlist::{
     CellKind, ClockEdge, ClockId, FlopId, Logic, NetId, Netlist, NetlistBuilder, ScanRole,
 };
 use scap_sim::{
-    FaultList, Injection, LaunchMode, LogicSim, PropagationScratch, TransitionFault,
+    FaultList, FaultSite, LaunchMode, LogicSim, PropagationScratch, TransitionFault,
     TransitionFaultSim,
 };
 
@@ -115,6 +116,39 @@ fn oracle_state2(
         .collect()
 }
 
+/// The faulty machine: [`LogicSim::eval`] with `value` forced at `site`.
+/// A `Net` site overrides the net's value (a primary-input or flop stem
+/// too); a `Pin` site overrides the value *seen by that gate pin only*.
+fn eval_injected(
+    sim: &LogicSim,
+    flop_q: &[Logic],
+    pi: &[Logic],
+    site: FaultSite,
+    value: Logic,
+) -> Vec<Logic> {
+    let n = sim.netlist();
+    // Sources as the good machine sets them; every gate is re-evaluated
+    // below, in level order, so each reads its faulty inputs.
+    let mut values = sim.eval(flop_q, pi);
+    if let FaultSite::Net(net) = site {
+        values[net.index()] = value;
+    }
+    for &g in sim.levelization().order() {
+        let gate = n.gate(g);
+        if site == FaultSite::Net(gate.output) {
+            continue;
+        }
+        let ins: Vec<Logic> = (0..gate.inputs.len())
+            .map(|pin| match site {
+                FaultSite::Pin { gate: fg, pin: fp } if fg == g && usize::from(fp) == pin => value,
+                _ => values[gate.inputs[pin].index()],
+            })
+            .collect();
+        values[gate.output.index()] = gate.kind.eval(&ins);
+    }
+    values
+}
+
 /// One pattern's fault-free frames, built from [`LogicSim`] alone.
 struct ScalarLane {
     pi: Vec<Logic>,
@@ -132,9 +166,9 @@ impl ScalarLane {
         load: Vec<Logic>,
         pi: Vec<Logic>,
     ) -> Self {
-        let frame1 = sim.eval(&load, &pi, None);
+        let frame1 = sim.eval(&load, &pi);
         let state2 = oracle_state2(n, mode, active, &load, &frame1);
-        let good2 = sim.eval(&state2, &pi, None);
+        let good2 = sim.eval(&state2, &pi);
         ScalarLane {
             pi,
             state2,
@@ -160,14 +194,7 @@ impl ScalarLane {
         if self.frame1[site] != v_init || self.good2[site] != v_final {
             return false;
         }
-        let faulty2 = sim.eval(
-            &self.state2,
-            &self.pi,
-            Some(Injection {
-                site: fault.site,
-                value: v_init,
-            }),
-        );
+        let faulty2 = eval_injected(sim, &self.state2, &self.pi, fault.site, v_init);
         n.flops().iter().any(|f| {
             let d = f.d.index();
             f.clock == active

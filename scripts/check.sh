@@ -2,7 +2,7 @@
 # Repository gate: formatting, lints and the full test suite.
 #
 #   scripts/check.sh            run everything
-#   scripts/check.sh --fast     skip the test suite (fmt + clippy only)
+#   scripts/check.sh --fast     skip the test suite (fmt, clippy and rustdoc only)
 #
 # The build is fully offline: every third-party dependency is vendored
 # under vendor/ (see Cargo.toml), so no registry access is needed.
@@ -26,6 +26,9 @@ cargo fmt --all -- --check
 
 echo "== cargo clippy (warnings are errors) =="
 cargo clippy --offline --workspace --all-targets -- -D warnings
+
+echo "== cargo doc (warnings are errors, so no intra-doc link dangles) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 if [ "$fast" -eq 0 ]; then
     echo "== cargo test =="

@@ -106,7 +106,7 @@ proptest! {
                 .iter()
                 .map(|w| Logic::from(w >> lane & 1 == 1))
                 .collect();
-            let values = scalar.eval(&loads, &pis, None);
+            let values = scalar.eval(&loads, &pis);
             for i in 0..n.num_nets() {
                 prop_assert_eq!(
                     words[i] >> lane & 1 == 1,
@@ -165,11 +165,11 @@ proptest! {
         let pis: Vec<Logic> = (0..n.primary_inputs().len())
             .map(|_| Logic::from(rng.gen::<bool>()))
             .collect();
-        let before = sim.eval(&loads, &pis, None);
+        let before = sim.eval(&loads, &pis);
         // Refine one X load (if any).
         if let Some(slot) = loads.iter_mut().position(|v| *v == Logic::X) {
             loads[slot] = Logic::from(rng.gen::<bool>());
-            let after = sim.eval(&loads, &pis, None);
+            let after = sim.eval(&loads, &pis);
             for i in 0..n.num_nets() {
                 if before[i].is_known() {
                     prop_assert_eq!(before[i], after[i], "net {}", i);
