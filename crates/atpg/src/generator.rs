@@ -5,11 +5,8 @@ use crate::{Podem, PodemOutcome, PodemScratch, SatAtpg, SatOutcome};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scap_dft::{FillPolicy, PatternBatch, PatternSet, TestPattern};
-use scap_exec::{shard_ranges, Executor};
 use scap_netlist::{ClockId, Netlist};
-use scap_sim::{FaultList, LaunchMode, PropagationScratch, TransitionFault, TransitionFaultSim};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use scap_sim::{FaultGrader, FaultList, LaunchMode, TransitionFaultSim};
 
 /// Which search engine targets primary faults, and whether aborted
 /// searches get a SAT second opinion.
@@ -112,9 +109,10 @@ pub struct AtpgRun {
     pub patterns: PatternSet,
     /// Final status per fault (parallel to the input fault list).
     pub status: Vec<FaultStatus>,
-    /// `(pattern count, cumulative detected faults)` after each pattern —
-    /// the paper's Figure 4 coverage curve.
-    pub coverage_curve: Vec<(usize, usize)>,
+    /// Per fault, the index in `patterns` of the first pattern whose
+    /// drop simulation detected it; `None` for a fault no pattern of
+    /// this run detected, or one already `Detected` when the run began.
+    pub first_detection: Vec<Option<usize>>,
     /// Size of the uncollapsed fault universe (for Table 1 style totals).
     pub uncollapsed_total: usize,
 }
@@ -190,7 +188,6 @@ pub struct Generator<'a> {
     sat: Option<SatAtpg<'a>>,
     fault_sim: TransitionFaultSim<'a>,
     config: AtpgConfig,
-    exec: Executor,
 }
 
 impl<'a> Generator<'a> {
@@ -210,7 +207,6 @@ impl<'a> Generator<'a> {
             sat,
             fault_sim: TransitionFaultSim::with_mode(netlist, active_clock, config.mode),
             config,
-            exec: Executor::new(),
         }
     }
 
@@ -254,32 +250,15 @@ impl<'a> Generator<'a> {
             fill: Some(self.config.fill),
             ..PatternSet::new()
         };
-        let mut coverage_curve = Vec::new();
-        let mut detected_total = status
-            .iter()
-            .filter(|s| matches!(s, FaultStatus::Detected))
-            .count();
         let list = faults.faults();
-        // Drop-sim works on equivalence-class representatives: a
-        // representative's detect mask answers for every class member,
-        // so statuses evolve exactly as with per-fault simulation.
-        let collapse = faults.collapse(self.netlist);
-        let rep = collapse.rep();
-        // One propagation scratch per worker for the whole run; workers
-        // claim distinct slots per round, so buffers stay warm across
-        // patterns instead of being reallocated
-        // (the scratch is epoch-stamped — reuse cannot leak state).
-        let scratch_pool: Vec<Mutex<PropagationScratch>> = (0..self.exec.threads().max(1))
-            .map(|_| Mutex::new(PropagationScratch::default()))
-            .collect();
-        let next_scratch = AtomicUsize::new(0);
+        // Drop simulation: the filled pattern is ground truth for status.
+        let mut grader = FaultGrader::new(&self.fault_sim, faults, |i| {
+            status[i] == FaultStatus::Detected
+        });
         // One simulation scratch for every PODEM call in the run: the
         // engine resyncs it incrementally instead of re-simulating the
         // whole netlist three times per decision.
         let mut podem_scratch = PodemScratch::default();
-        let mut rep_targets: Vec<TransitionFault> = Vec::new();
-        let mut rep_ids: Vec<u32> = Vec::new();
-        let mut slot_of: Vec<u32> = vec![u32::MAX; list.len()];
         // Secondary-merge abort counter per fault. The backtrack budget
         // is constant within a run, so two aborts at it are two aborts
         // "at the same budget": further merge attempts are suppressed
@@ -379,96 +358,26 @@ impl<'a> Generator<'a> {
                     PodemOutcome::Untestable => fails += 1,
                 }
             }
-            let filled = pattern.fill(self.netlist, self.config.fill, &mut rng);
-            // PPSFP drop: the filled pattern is ground truth for status.
-            let batch = PatternBatch::pack(std::slice::from_ref(&filled));
-            let _span = scap_obs::span!("atpg.drop_sim");
-            rep_ids.clear();
-            rep_targets.clear();
-            for (i, s) in status.iter().enumerate() {
-                if matches!(s, FaultStatus::Detected) {
-                    continue;
+            let filled = {
+                let _span = scap_obs::span!("atpg.fill");
+                pattern.fill(self.netlist, self.config.fill, &mut rng)
+            };
+            {
+                let _span = scap_obs::span!("atpg.drop_sim");
+                let batch = PatternBatch::pack(std::slice::from_ref(&filled));
+                let frames = self.fault_sim.frames(&batch.load_words, &batch.pi_words);
+                for i in grader.apply(patterns.len(), &[(frames, batch.valid_mask)]) {
+                    status[i as usize] = FaultStatus::Detected;
                 }
-                let r = rep[i] as usize;
-                if slot_of[r] == u32::MAX {
-                    slot_of[r] = rep_targets.len() as u32;
-                    rep_ids.push(r as u32);
-                    rep_targets.push(list[r]);
-                }
-            }
-            let detect_mask = self.drop_sim(&batch, &rep_targets, &scratch_pool, &next_scratch);
-            for (i, s) in status.iter_mut().enumerate() {
-                if matches!(s, FaultStatus::Detected) {
-                    continue;
-                }
-                if detect_mask[slot_of[rep[i] as usize] as usize] != 0 {
-                    *s = FaultStatus::Detected;
-                    detected_total += 1;
-                }
-            }
-            for &r in &rep_ids {
-                slot_of[r as usize] = u32::MAX;
             }
             patterns.push(pattern, filled);
-            coverage_curve.push((patterns.len(), detected_total));
         }
         AtpgRun {
             patterns,
             status,
-            coverage_curve,
+            first_detection: (0..list.len()).map(|i| grader.first_detection(i)).collect(),
             uncollapsed_total: faults.uncollapsed_count(),
         }
-    }
-
-    /// PPSFP drop simulation of one filled pattern: evaluates the launch
-    /// frames once, then fans the target faults across the executor's
-    /// workers in contiguous shards. Every fault's detect mask is an
-    /// independent function of the frames and lands at the fault's own
-    /// slot, so the result is bit-identical at every thread count (a
-    /// one-worker executor degenerates to the serial loop).
-    fn drop_sim(
-        &self,
-        batch: &PatternBatch,
-        targets: &[TransitionFault],
-        scratch_pool: &[Mutex<PropagationScratch>],
-        next_scratch: &AtomicUsize,
-    ) -> Vec<u64> {
-        let frames = self.fault_sim.frames(&batch.load_words, &batch.pi_words);
-        scap_obs::counter!("sim.block_evals").incr();
-        scap_obs::counter!("sim.patterns_per_block").add(batch.valid_mask.count_ones() as u64);
-        let shards = shard_ranges(targets.len(), self.exec.threads());
-        let masks: Vec<Vec<u64>> = self.exec.parallel_map_with(
-            // Each worker locks a distinct pool slot: at most
-            // `scratch_pool.len()` workers run per call, so consecutive
-            // claims (mod pool size) never collide within a call.
-            || {
-                let slot = next_scratch.fetch_add(1, Ordering::Relaxed) % scratch_pool.len();
-                scratch_pool[slot].lock().expect("scratch pool poisoned")
-            },
-            &shards,
-            |scratch, range| {
-                let mut out = Vec::with_capacity(range.len());
-                let mut detections = 0u64;
-                let mut skipped = 0u64;
-                for &fault in &targets[range.clone()] {
-                    let mask = if self.fault_sim.is_observable(fault) {
-                        self.fault_sim
-                            .detect_one(&frames, batch.valid_mask, fault, scratch)
-                    } else {
-                        skipped += 1;
-                        0
-                    };
-                    detections += u64::from(mask != 0);
-                    out.push(mask);
-                }
-                scap_obs::counter!("sim.fault_detections").add(detections);
-                scap_obs::counter!("sim.faults_skipped_unobservable").add(skipped);
-                out
-            },
-        );
-        scap_obs::counter!("sim.fault_sim_batches").incr();
-        scap_obs::counter!("sim.fault_sim_checks").add(targets.len() as u64);
-        masks.concat()
     }
 }
 
@@ -524,19 +433,56 @@ mod tests {
         assert!(!run.patterns.is_empty());
     }
 
+    /// A fault has a first detection exactly when it ends `Detected`,
+    /// at a pattern of the run; every pattern first-detects at least its
+    /// primary target; and the record matches re-simulating the
+    /// patterns in order.
     #[test]
-    fn coverage_curve_is_monotone() {
+    fn first_detection_matches_status_and_resimulation() {
         let n = ring(10);
         let faults = FaultList::full(&n);
         let gen = Generator::new(&n, ClockId::new(0), AtpgConfig::default());
         let run = gen.run(&faults);
-        let mut prev = 0;
-        for &(p, d) in &run.coverage_curve {
-            assert!(d >= prev, "curve must be non-decreasing");
-            assert!(p >= 1);
-            prev = d;
+        let mut first_detects = vec![0usize; run.patterns.len()];
+        for (s, d) in run.status.iter().zip(&run.first_detection) {
+            assert_eq!(*s == FaultStatus::Detected, d.is_some());
+            if let Some(p) = *d {
+                first_detects[p] += 1;
+            }
         }
-        assert_eq!(prev, run.num_detected());
+        assert!(first_detects.iter().all(|&c| c > 0), "{first_detects:?}");
+        let sim = TransitionFaultSim::new(&n, ClockId::new(0));
+        let mut expected: Vec<Option<usize>> = vec![None; faults.faults().len()];
+        for (p, filled) in run.patterns.filled.iter().enumerate() {
+            let batch = PatternBatch::pack(std::slice::from_ref(filled));
+            let summary = sim.detect_batch(&batch.load_words, &batch.pi_words, 1, faults.faults());
+            for (e, &mask) in expected.iter_mut().zip(&summary.detect_mask) {
+                if mask != 0 && e.is_none() {
+                    *e = Some(p);
+                }
+            }
+        }
+        assert_eq!(run.first_detection, expected);
+    }
+
+    /// Faults already `Detected` when a run begins are neither targeted
+    /// nor credited again.
+    #[test]
+    fn run_with_status_never_credits_earlier_detections() {
+        let n = ring(10);
+        let faults = FaultList::full(&n);
+        let gen = Generator::new(&n, ClockId::new(0), AtpgConfig::default());
+        let mut status = vec![FaultStatus::Undetected; faults.faults().len()];
+        for s in status.iter_mut().step_by(3) {
+            *s = FaultStatus::Detected;
+        }
+        let run = gen.run_with_status(&faults, status.clone());
+        for (i, before) in status.iter().enumerate() {
+            if *before == FaultStatus::Detected {
+                assert_eq!(run.status[i], FaultStatus::Detected);
+                assert_eq!(run.first_detection[i], None);
+            }
+        }
     }
 
     #[test]
@@ -606,8 +552,8 @@ mod tests {
     fn coverage_formulas_are_pinned_for_all_statuses() {
         let mk = |status: Vec<FaultStatus>| AtpgRun {
             patterns: PatternSet::new(),
+            first_detection: vec![None; status.len()],
             status,
-            coverage_curve: Vec::new(),
             uncollapsed_total: 0,
         };
         let run = mk(vec![
@@ -676,7 +622,7 @@ mod tests {
     /// the CNF unsatisfiable and reclassifies the fault `Untestable`.
     #[test]
     fn hybrid_reclassifies_podem_abort_as_untestable() {
-        use scap_sim::{FaultSite, Polarity};
+        use scap_sim::{FaultSite, Polarity, TransitionFault};
         let n = redundant_netlist();
         // Net insertion order: q0..q3, x1, x2, x, nx, c.
         let c = scap_netlist::NetId::new(8);

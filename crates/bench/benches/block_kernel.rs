@@ -2,7 +2,7 @@
 //! netlist.
 //!
 //! Grades the same 512 faults × 64 patterns two ways through
-//! `detect_batch_with_scratch`, the one detection kernel:
+//! `detect_batch`, over the one detection kernel:
 //! pattern-at-a-time with a single-lane `valid_mask` (the ATPG
 //! drop-simulation shape) and as one 64-lane word batch. The ratio
 //! between the two is the bit-parallel win; a regression in the word
@@ -13,7 +13,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::{Rng, SeedableRng};
 use scap::netlist::{CellKind, ClockEdge, NetId, Netlist, NetlistBuilder};
-use scap::sim::{FaultList, PropagationScratch, TransitionFaultSim};
+use scap::sim::{FaultList, TransitionFaultSim};
 
 /// A seeded random netlist: mixing gates, inverter/buffer chains, a scan
 /// flop rim — the same shape the kernel-equivalence proptests drive,
@@ -72,7 +72,6 @@ fn bench(c: &mut Criterion) {
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
     let loads: Vec<u64> = (0..n.num_flops()).map(|_| rng.gen()).collect();
     let pis: Vec<u64> = (0..n.primary_inputs().len()).map(|_| rng.gen()).collect();
-    let mut scratch = PropagationScratch::new(n.num_nets());
 
     let mut g = c.benchmark_group("block_kernel");
     g.sample_size(10);
@@ -82,7 +81,7 @@ fn bench(c: &mut Criterion) {
             for p in 0..64 {
                 let l: Vec<u64> = loads.iter().map(|&w| w >> p & 1).collect();
                 let pv: Vec<u64> = pis.iter().map(|&w| w >> p & 1).collect();
-                let s = fsim.detect_batch_with_scratch(&l, &pv, 1, &subset, &mut scratch);
+                let s = fsim.detect_batch(&l, &pv, 1, &subset);
                 detections += s.detect_mask.iter().filter(|&&m| m != 0).count() as u64;
             }
             detections
@@ -90,7 +89,7 @@ fn bench(c: &mut Criterion) {
     });
     g.bench_function("block_512_faults_x64_patterns", |b| {
         b.iter(|| {
-            let s = fsim.detect_batch_with_scratch(&loads, &pis, !0, &subset, &mut scratch);
+            let s = fsim.detect_batch(&loads, &pis, !0, &subset);
             s.detect_mask
                 .iter()
                 .map(|m| m.count_ones() as u64)

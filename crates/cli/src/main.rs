@@ -111,11 +111,12 @@ fn build_study(args: &Args) -> Result<CaseStudy, String> {
 }
 
 fn generate(args: &Args) -> ExitCode {
+    let verilog = try_flag!(args.value("verilog"));
     let study = try_flag!(build_study(args));
     let report = experiments::table1(&study);
     println!("{}", experiments::render_table1(&report));
     println!("{}", experiments::render_table2(&report));
-    if let Some(path) = args.get("verilog") {
+    if let Some(path) = verilog {
         let text = scap::netlist::verilog::to_verilog(&study.design.netlist);
         if let Err(e) = std::fs::write(path, text) {
             eprintln!("error: cannot write {path}: {e}");
@@ -131,6 +132,7 @@ fn atpg(args: &Args) -> ExitCode {
     // the server's parameters, and before the design is built, so a
     // bad value fails fast.
     let spec = try_flag!(FlowSpec::parse(args));
+    let stil = try_flag!(args.value("stil"));
     let study = try_flag!(build_study(args));
     let mut flow = spec.run(&study);
     println!(
@@ -152,7 +154,7 @@ fn atpg(args: &Args) -> ExitCode {
         );
         flow.patterns = compacted;
     }
-    if let Some(path) = args.get("stil") {
+    if let Some(path) = stil {
         let text = scap::dft::export::to_stil(&study.design.netlist, &flow.patterns);
         if let Err(e) = std::fs::write(path, text) {
             eprintln!("error: cannot write {path}: {e}");
@@ -253,40 +255,37 @@ fn schedule_cmd(args: &Args) -> ExitCode {
 /// Exit codes: 0 clean, 1 findings at or above the deny level (errors, or
 /// warnings too under `--deny warn`), 2 usage error.
 fn lint(args: &Args) -> ExitCode {
-    let json = match args.get("format") {
-        None => false,
-        Some("text") => false,
+    let json = match try_flag!(args.value("format")) {
+        None | Some("text") => false,
         Some("json") => true,
         Some(other) => {
             eprintln!("error: --format expects 'text' or 'json', got '{other}'");
             return ExitCode::from(2);
         }
     };
-    let deny_warn = if args.has("deny") {
-        match args.get("deny") {
-            Some("warn") => true,
-            other => {
-                eprintln!(
-                    "error: --deny expects 'warn', got '{}'",
-                    other.unwrap_or("nothing")
-                );
-                return ExitCode::from(2);
-            }
+    let deny_warn = match try_flag!(args.value("deny")) {
+        None => false,
+        Some("warn") => true,
+        Some(other) => {
+            eprintln!("error: --deny expects 'warn', got '{other}'");
+            return ExitCode::from(2);
         }
-    } else {
-        false
     };
-
-    let study = try_flag!(build_study(args));
-    let report = match args.get("only") {
+    let only = match try_flag!(args.value("only")) {
         Some(prefix) => {
             let rules = scap_lint::rules_matching(prefix);
             if rules.is_empty() {
                 eprintln!("error: --only '{prefix}' matches no registered rule");
                 return ExitCode::from(2);
             }
-            scap_serve::lint_report_with(&study, rules)
+            Some(rules)
         }
+        None => None,
+    };
+
+    let study = try_flag!(build_study(args));
+    let report = match only {
+        Some(rules) => scap_serve::lint_report_with(&study, rules),
         None => scap_serve::lint_report(&study),
     };
     if json {
@@ -307,7 +306,7 @@ fn lint(args: &Args) -> ExitCode {
 /// rendezvous hashing on `(scale, seed)`. Blocks until
 /// `POST /v1/shutdown` drains coordinator and fleet alike.
 fn cluster(args: &Args) -> ExitCode {
-    let addr = match (args.get("addr"), args.get("port")) {
+    let addr = match (try_flag!(args.value("addr")), try_flag!(args.value("port"))) {
         (Some(a), _) => a.to_owned(),
         (None, Some(p)) => format!("127.0.0.1:{p}"),
         (None, None) => "127.0.0.1:7900".to_owned(),
@@ -329,7 +328,7 @@ fn cluster(args: &Args) -> ExitCode {
         ("cache-capacity", "--cache-capacity"),
         ("cache-cap", "--cache-cap"),
     ] {
-        if let Some(raw) = args.get(ours) {
+        if let Some(raw) = try_flag!(args.value(ours)) {
             try_flag!(args.usize_flag(ours, 1));
             worker_command.extend([theirs.to_owned(), raw.to_owned()]);
         }
@@ -394,14 +393,14 @@ fn sta(args: &Args) -> ExitCode {
     if args.has("metrics") {
         scap_obs::set_enabled(true);
     }
-    let study = try_flag!(build_study(args));
-    let n = &study.design.netlist;
     let path_count = try_flag!(args.usize_flag("paths", 5));
     let k = try_flag!(args.f64_flag("derate-k")).unwrap_or(1.0);
     if !k.is_finite() || k <= 0.0 {
         eprintln!("error: --derate-k expects a positive factor, got {k}");
         return ExitCode::from(2);
     }
+    let study = try_flag!(build_study(args));
+    let n = &study.design.netlist;
     if args.has("derate") {
         let sta = NoiseAwareSta::with_derate(&study, k);
         println!(
@@ -496,7 +495,7 @@ mod tests {
         assert_eq!(args.positional, vec!["atpg"]);
         assert_eq!(args.scale().unwrap(), 0.02);
         assert!(args.has("compact"));
-        assert_eq!(args.get("stil"), Some("out.stil"));
+        assert_eq!(args.value("stil"), Ok(Some("out.stil")));
     }
 
     #[test]
@@ -510,11 +509,25 @@ mod tests {
             &["schedule", "--scale", "0.004", "--flow", "bogus"],
             &["schedule", "--scale", "0.004", "--budget", "abc"],
             &["schedule", "--scale", "0.004", "--budget", "-1"],
+            // A value flag without its value never falls back to its
+            // default (or, for an output path, to writing nothing).
+            &["generate", "--scale"],
+            &["generate", "--scale", "0.004", "--verilog"],
+            &["atpg", "--scale", "0.01", "--stil"],
+            &["atpg", "--scale", "0.004", "--flow"],
+            &["lint", "--scale", "0.004", "--only"],
+            &["lint", "--scale", "0.004", "--format"],
+            &["sta", "--scale", "0.004", "--paths"],
+            &["cluster", "--port"],
         ] {
             let args = cli(bad);
             let code = match bad[0] {
+                "generate" => generate(&args),
                 "atpg" => atpg(&args),
                 "profile" => profile(&args),
+                "lint" => lint(&args),
+                "sta" => sta(&args),
+                "cluster" => cluster(&args),
                 _ => schedule_cmd(&args),
             };
             assert_eq!(code, ExitCode::from(2), "{bad:?}");

@@ -10,10 +10,11 @@
 //!   every don't-care, so whichever blocks are not being targeted stay
 //!   quiet. Costs a few percent more patterns, slashes per-pattern SCAP.
 
-use crate::{grade_patterns, CaseStudy, GradeResult};
+use crate::grade::grade_into;
+use crate::{CaseStudy, GradeResult};
 use scap_dft::{FillPolicy, PatternSet};
 use scap_netlist::BlockId;
-use scap_sim::FaultList;
+use scap_sim::{FaultGrader, FaultList, TransitionFaultSim};
 use scap_tgen::{AtpgConfig, EngineKind, FaultStatus, Generator};
 
 /// Result of one flow.
@@ -69,11 +70,12 @@ pub fn conventional_with(study: &CaseStudy, config: AtpgConfig) -> FlowResult {
     let run = generator.run(&faults);
     scap_obs::counter!("flow.stages").incr();
     scap_obs::counter!("flow.patterns_generated").add(run.patterns.len() as u64);
-    let grade = grade_patterns(n, clka, &faults, &run.patterns);
+    // The run's drop simulation saw every pattern against every fault
+    // not yet detected: its record is the grade.
     FlowResult {
         steps: vec![("all blocks".to_owned(), 0)],
+        grade: GradeResult::new(run.first_detection, run.patterns.len()),
         patterns: run.patterns,
-        grade,
         faults,
     }
 }
@@ -110,14 +112,18 @@ pub fn noise_aware_with(
     let clka = study.clka();
     let full = FaultList::full(n);
     let generator = Generator::new(n, clka, config);
+    // One grader over the whole universe for every step: a step's
+    // patterns are simulated only against faults no earlier step
+    // detected, at their place in the final set, so fortuitous
+    // detections in *other* blocks are credited and the stitched record
+    // is the grade of the whole set.
+    let sim = TransitionFaultSim::new(n, clka);
+    let mut grader = FaultGrader::new(&sim, &full, |_| false);
     let mut patterns = PatternSet {
         fill: Some(config.fill),
         ..PatternSet::new()
     };
     let mut steps = Vec::new();
-    // Global knowledge of what the patterns so far already detect, so a
-    // later step never re-targets a fortuitously covered fault.
-    let mut detected = vec![false; full.faults().len()];
     for (label, blocks) in stages {
         steps.push((label.clone(), patterns.len()));
         let members: Vec<usize> = full
@@ -131,30 +137,22 @@ pub fn noise_aware_with(
             members.iter().map(|&i| full.faults()[i]).collect(),
             members.len() * full.uncollapsed_count() / full.faults().len().max(1),
         );
+        // A later step never re-targets a fault the patterns so far
+        // already detect.
         let initial: Vec<FaultStatus> = members
             .iter()
-            .map(|&i| {
-                if detected[i] {
-                    FaultStatus::Detected
-                } else {
-                    FaultStatus::Undetected
-                }
+            .map(|&i| match grader.first_detection(i) {
+                Some(_) => FaultStatus::Detected,
+                None => FaultStatus::Undetected,
             })
             .collect();
         let run = generator.run_with_status(&sub, initial);
         scap_obs::counter!("flow.stages").incr();
         scap_obs::counter!("flow.patterns_generated").add(run.patterns.len() as u64);
-        // Grade the new patterns against the whole universe to credit
-        // fortuitous detections in *other* blocks too.
-        let grade = grade_patterns(n, clka, &full, &run.patterns);
-        for (i, d) in grade.first_detection.iter().enumerate() {
-            if d.is_some() {
-                detected[i] = true;
-            }
-        }
+        grade_into(&mut grader, patterns.len(), &run.patterns);
         patterns.extend(run.patterns);
     }
-    let grade = grade_patterns(n, clka, &full, &patterns);
+    let grade = GradeResult::of(&grader, &full, patterns.len());
     FlowResult {
         patterns,
         steps,
@@ -195,6 +193,17 @@ pub(crate) mod tests {
             conv.fault_coverage(),
             na.fault_coverage()
         );
+    }
+
+    /// The fill and grading spans are inert while collection is off, as
+    /// it is throughout this crate's tests.
+    #[test]
+    fn fill_and_grade_spans_are_inert_while_obs_is_off() {
+        let _ = fixture();
+        assert!(!scap_obs::is_enabled());
+        for name in ["atpg.fill", "grade.run"] {
+            assert_eq!(scap_obs::span_stats(name).get().0, 0, "{name}");
+        }
     }
 
     #[test]

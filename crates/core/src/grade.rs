@@ -5,10 +5,9 @@
 //! fortuitous detection across staged steps is credited correctly.
 
 use scap_dft::PatternSet;
-use scap_exec::{shard_ranges, Executor};
+use scap_exec::Executor;
 use scap_netlist::{ClockId, Netlist};
-use scap_sim::loc::BatchFrames;
-use scap_sim::{CollapseMap, FaultList, PropagationScratch, TransitionFaultSim};
+use scap_sim::{FaultGrader, FaultList, TransitionFaultSim};
 
 /// Result of grading a pattern set.
 #[derive(Clone, Debug)]
@@ -23,6 +22,37 @@ pub struct GradeResult {
 }
 
 impl GradeResult {
+    /// The grade of `num_patterns` patterns whose first detection per
+    /// fault is `first_detection`.
+    pub(crate) fn new(first_detection: Vec<Option<usize>>, num_patterns: usize) -> Self {
+        let mut curve: Vec<(usize, usize)> = (1..=num_patterns).map(|p| (p, 0)).collect();
+        for &p in first_detection.iter().flatten() {
+            curve[p].1 += 1;
+        }
+        let mut cum = 0;
+        for point in &mut curve {
+            cum += point.1;
+            point.1 = cum;
+        }
+        GradeResult {
+            total_faults: first_detection.len(),
+            first_detection,
+            curve,
+        }
+    }
+
+    /// The grade a grader recorded over `num_patterns` patterns.
+    pub(crate) fn of(
+        grader: &FaultGrader<'_, '_>,
+        faults: &FaultList,
+        num_patterns: usize,
+    ) -> Self {
+        let first = (0..faults.faults().len())
+            .map(|i| grader.first_detection(i))
+            .collect();
+        Self::new(first, num_patterns)
+    }
+
     /// Detected fault count.
     pub fn num_detected(&self) -> usize {
         self.first_detection.iter().flatten().count()
@@ -37,48 +67,35 @@ impl GradeResult {
     }
 }
 
-/// Launch frames of one batch, computed once per round.
-struct RoundBatch {
-    start: usize,
-    valid_mask: u64,
-    frames: BatchFrames,
-}
-
-/// Computes the round's launch frames, one batch per worker.
-fn round_frames(
-    exec: &Executor,
-    sim: &TransitionFaultSim<'_>,
-    round: &[(usize, scap_dft::PatternBatch)],
-) -> Vec<RoundBatch> {
-    scap_obs::counter!("sim.fault_sim_batches").add(round.len() as u64);
-    exec.parallel_map(round, |(start, batch)| {
-        scap_obs::counter!("sim.block_evals").incr();
-        scap_obs::counter!("sim.patterns_per_block").add(u64::from(batch.valid_mask.count_ones()));
-        RoundBatch {
-            start: *start,
-            valid_mask: batch.valid_mask,
-            frames: sim.frames(&batch.load_words, &batch.pi_words),
+/// Feeds `patterns`, whose first pattern is pattern `first` of the
+/// grader's order, to `grader` in rounds of up to [`Executor::threads`]
+/// 64-pattern blocks, computing a round's launch frames in parallel.
+/// The one post-hoc grading loop: [`grade_patterns`] and the noise-aware
+/// flow's step grading run it.
+pub(crate) fn grade_into(grader: &mut FaultGrader<'_, '_>, first: usize, patterns: &PatternSet) {
+    let _span = scap_obs::span!("grade.run");
+    let exec = Executor::new();
+    let batches: Vec<_> = patterns.batches().collect();
+    for round in batches.chunks(exec.threads()) {
+        let pending = grader.pending();
+        if pending == 0 {
+            break;
         }
-    })
+        scap_obs::counter!("grade.rounds").incr();
+        scap_obs::counter!("grade.fault_sim_targets").add(pending as u64);
+        scap_obs::counter!("grade.fault_shards").add(pending.min(exec.threads()) as u64);
+        let blocks = exec.parallel_map(round, |(_, batch)| {
+            let frames = grader.sim().frames(&batch.load_words, &batch.pi_words);
+            (frames, batch.valid_mask)
+        });
+        let credited = grader.apply(first + round[0].0, &blocks).len();
+        scap_obs::counter!("grade.faults_dropped").add(credited as u64);
+    }
 }
 
 /// Fault-simulates `patterns` in order against `faults` with dropping,
-/// recording each fault's first detecting pattern.
-///
-/// The universe is first collapsed to observable equivalence-class
-/// representatives ([`CollapseMap`]); unobservable faults can never
-/// detect and a representative's detect mask answers for every class
-/// member, so expanding the credit afterwards reproduces the
-/// uncollapsed result exactly. Batches are simulated in *rounds* of up
-/// to [`Executor::threads`] batches each, with the launch frames of
-/// each batch computed once per round. Within a round the
-/// remaining-fault list is sharded across workers — each worker
-/// propagates its fault shard through every batch of the round — and a
-/// fault is credited to its earliest detecting pattern (min-merge).
-/// Because a fault's earliest detection is a global property of the
-/// pattern set — dropping only skips faults that are already credited —
-/// the result is bit-identical for every thread count and shard
-/// boundary, and a one-thread executor degenerates to the serial loop.
+/// recording each fault's first detecting pattern ([`FaultGrader`]).
+/// Bit-identical for every thread count.
 pub fn grade_patterns(
     netlist: &Netlist,
     active_clock: ClockId,
@@ -86,84 +103,16 @@ pub fn grade_patterns(
     patterns: &PatternSet,
 ) -> GradeResult {
     let sim = TransitionFaultSim::new(netlist, active_clock);
-    let exec = Executor::new();
-    let list = faults.faults();
-    let collapse = CollapseMap::build(netlist, faults);
-    let members = collapse.members();
-    let mut first_detection: Vec<Option<usize>> = vec![None; list.len()];
-    let mut detections_at: Vec<usize> = vec![0; patterns.len() + 1];
-    // Compacting index list of not-yet-detected representatives; shrunk
-    // in place between rounds instead of being rebuilt by an O(faults)
-    // scan per round.
-    let mut remaining: Vec<u32> = (0..list.len() as u32)
-        .filter(|&i| collapse.is_rep(i as usize) && sim.is_observable(list[i as usize]))
-        .collect();
-    let num_reps = list.len() - collapse.num_collapsed();
-    scap_obs::counter!("sim.faults_skipped_unobservable").add((num_reps - remaining.len()) as u64);
-    let batches: Vec<_> = patterns.batches().collect();
-    let threads = exec.threads().max(1);
-    for round in batches.chunks(threads) {
-        if remaining.is_empty() {
-            break;
-        }
-        scap_obs::counter!("grade.rounds").incr();
-        scap_obs::counter!("grade.fault_sim_targets").add(remaining.len() as u64);
-        let frames = round_frames(&exec, &sim, round);
-        let shards = shard_ranges(remaining.len(), threads);
-        scap_obs::counter!("grade.fault_shards").add(shards.len() as u64);
-        let credited: Vec<Vec<(u32, u32)>> = exec.parallel_map_with(
-            || PropagationScratch::new(netlist.num_nets()),
-            &shards,
-            |scratch, range| {
-                let mut hits = Vec::new();
-                let mut checks = 0u64;
-                for &fi in &remaining[range.clone()] {
-                    let fault = list[fi as usize];
-                    let mut best = u32::MAX;
-                    for rb in &frames {
-                        checks += 1;
-                        let mask = sim.detect_one(&rb.frames, rb.valid_mask, fault, scratch);
-                        if mask != 0 {
-                            best = best.min(rb.start as u32 + mask.trailing_zeros());
-                        }
-                    }
-                    if best != u32::MAX {
-                        hits.push((fi, best));
-                    }
-                }
-                scap_obs::counter!("sim.fault_sim_checks").add(checks);
-                scap_obs::counter!("sim.fault_detections").add(hits.len() as u64);
-                hits
-            },
-        );
-        for hits in &credited {
-            for &(fi, p) in hits {
-                for &m in &members[fi as usize] {
-                    first_detection[m as usize] = Some(p as usize);
-                    detections_at[p as usize + 1] += 1;
-                }
-                scap_obs::counter!("grade.faults_dropped").add(members[fi as usize].len() as u64);
-            }
-        }
-        remaining.retain(|&fi| first_detection[fi as usize].is_none());
-    }
-    let mut curve = Vec::with_capacity(patterns.len());
-    let mut cum = 0usize;
-    for p in 0..patterns.len() {
-        cum += detections_at[p + 1];
-        curve.push((p + 1, cum));
-    }
-    GradeResult {
-        first_detection,
-        curve,
-        total_faults: list.len(),
-    }
+    let mut grader = FaultGrader::new(&sim, faults, |_| false);
+    grade_into(&mut grader, 0, patterns);
+    GradeResult::of(&grader, faults, patterns.len())
 }
 
-/// Reverse-order static compaction: fault-simulates the set in reverse
-/// and keeps only patterns that detect at least one not-yet-covered
-/// fault. A standard ATPG post-pass; typically removes the early patterns
-/// whose faults were re-detected fortuitously by later ones.
+/// Reverse-order static compaction: keeps only the patterns that are
+/// some fault's latest detection, i.e. its first detection when the set
+/// is graded in reverse. A standard ATPG post-pass; typically removes
+/// the early patterns whose faults were re-detected fortuitously by
+/// later ones.
 ///
 /// Returns the retained pattern indices (ascending) and the compacted
 /// set.
@@ -173,67 +122,13 @@ pub fn compact_patterns(
     faults: &FaultList,
     patterns: &PatternSet,
 ) -> (Vec<usize>, PatternSet) {
-    let sim = TransitionFaultSim::new(netlist, active_clock);
-    let exec = Executor::new();
-    let list = faults.faults();
-    let collapse = CollapseMap::build(netlist, faults);
-    let mut covered = vec![false; list.len()];
+    let mut reversed = patterns.clone();
+    reversed.source.reverse();
+    reversed.filled.reverse();
+    let grade = grade_patterns(netlist, active_clock, faults, &reversed);
     let mut keep = vec![false; patterns.len()];
-    // Walk batches from the END of the set in rounds of up to
-    // `exec.threads()` batches each, sharding the remaining
-    // representatives across workers; a fault is credited to its
-    // highest-index detecting pattern (max-merge). A representative's
-    // mask answers for the whole equivalence class, and a fault's latest
-    // detection is a global property of the set, so the kept-pattern set
-    // is bit-identical to the serial uncollapsed reverse walk for every
-    // thread count and shard boundary.
-    let mut remaining: Vec<u32> = (0..list.len() as u32)
-        .filter(|&i| collapse.is_rep(i as usize) && sim.is_observable(list[i as usize]))
-        .collect();
-    let mut batches: Vec<_> = patterns.batches().collect();
-    batches.reverse();
-    let threads = exec.threads().max(1);
-    for round in batches.chunks(threads) {
-        if remaining.is_empty() {
-            break;
-        }
-        scap_obs::counter!("compact.rounds").incr();
-        let frames = round_frames(&exec, &sim, round);
-        let shards = shard_ranges(remaining.len(), threads);
-        scap_obs::counter!("grade.fault_shards").add(shards.len() as u64);
-        let credited: Vec<Vec<(u32, u32)>> = exec.parallel_map_with(
-            || PropagationScratch::new(netlist.num_nets()),
-            &shards,
-            |scratch, range| {
-                let mut hits = Vec::new();
-                let mut checks = 0u64;
-                for &fi in &remaining[range.clone()] {
-                    let fault = list[fi as usize];
-                    let mut best: Option<u32> = None;
-                    for rb in &frames {
-                        checks += 1;
-                        let mask = sim.detect_one(&rb.frames, rb.valid_mask, fault, scratch);
-                        if mask != 0 {
-                            let p = rb.start as u32 + (63 - mask.leading_zeros());
-                            best = Some(best.map_or(p, |b| b.max(p)));
-                        }
-                    }
-                    if let Some(p) = best {
-                        hits.push((fi, p));
-                    }
-                }
-                scap_obs::counter!("sim.fault_sim_checks").add(checks);
-                scap_obs::counter!("sim.fault_detections").add(hits.len() as u64);
-                hits
-            },
-        );
-        for hits in &credited {
-            for &(fi, p) in hits {
-                covered[fi as usize] = true;
-                keep[p as usize] = true;
-            }
-        }
-        remaining.retain(|&fi| !covered[fi as usize]);
+    for &p in grade.first_detection.iter().flatten() {
+        keep[patterns.len() - 1 - p] = true;
     }
     let kept: Vec<usize> = keep
         .iter()
@@ -259,6 +154,67 @@ mod tests {
     use scap_dft::{FillPolicy, PatternSet, TestPattern};
     use scap_soc::{SocConfig, SocDesign};
     use scap_tgen::{AtpgConfig, Generator};
+
+    /// Every fault's first and latest detecting pattern, from
+    /// [`TransitionFaultSim::detect_batch`] over each 64-pattern block
+    /// against the whole list: no collapsing, no dropping, no sharding.
+    fn oracle(
+        study: &crate::CaseStudy,
+        faults: &FaultList,
+        patterns: &PatternSet,
+    ) -> (Vec<Option<usize>>, Vec<Option<usize>>) {
+        let sim = TransitionFaultSim::new(&study.design.netlist, study.clka());
+        let mut first = vec![None; faults.faults().len()];
+        let mut last = vec![None; faults.faults().len()];
+        for (start, b) in patterns.batches() {
+            let summary =
+                sim.detect_batch(&b.load_words, &b.pi_words, b.valid_mask, faults.faults());
+            for (i, &mask) in summary.detect_mask.iter().enumerate() {
+                if mask != 0 {
+                    first[i] = first[i].or(Some(start + mask.trailing_zeros() as usize));
+                    last[i] = Some(start + 63 - mask.leading_zeros() as usize);
+                }
+            }
+        }
+        (first, last)
+    }
+
+    /// Both flows keep the grade their own drop simulation and step
+    /// grading recorded; the oracle re-derives it from scratch, and
+    /// compaction must keep exactly the patterns that are some fault's
+    /// latest detection.
+    #[test]
+    fn flow_grades_and_compaction_match_an_undropped_oracle() {
+        let (study, conv, na) = crate::flows::tests::fixture();
+        let n = &study.design.netlist;
+        for flow in [conv, na] {
+            let (first, last) = oracle(study, &flow.faults, &flow.patterns);
+            assert_eq!(flow.grade.first_detection, first);
+            let mut at = vec![0usize; flow.patterns.len()];
+            for &p in first.iter().flatten() {
+                at[p] += 1;
+            }
+            let curve: Vec<(usize, usize)> = at
+                .iter()
+                .scan(0, |cum, &d| {
+                    *cum += d;
+                    Some(*cum)
+                })
+                .enumerate()
+                .map(|(p, cum)| (p + 1, cum))
+                .collect();
+            assert_eq!(flow.grade.curve, curve);
+            let mut latest: Vec<usize> = last.into_iter().flatten().collect();
+            latest.sort_unstable();
+            latest.dedup();
+            let (kept, compacted) = compact_patterns(n, study.clka(), &flow.faults, &flow.patterns);
+            assert_eq!(kept, latest);
+            assert_eq!(compacted.len(), kept.len());
+        }
+        // The staged steps must not start on block boundaries, or a
+        // wrong step offset could hide behind whole blocks.
+        assert!(na.steps.iter().skip(1).any(|&(_, start)| start % 64 != 0));
+    }
 
     #[test]
     fn grade_agrees_with_generator_count() {

@@ -52,28 +52,36 @@
 //! serve `/metrics` endpoint assert on, and which therefore must not be
 //! renamed casually:
 //!
-//! * `sim.*` — fault-simulation kernel. `sim.fault_sim_checks` counts
-//!   fault×batch propagation attempts (the denominator of the
+//! * `sim.*` — fault-simulation kernel, all counted by the one fault
+//!   simulator with dropping (`scap_sim::FaultGrader`).
+//!   `sim.fault_sim_checks` counts the (class representative, block)
+//!   pairs actually simulated — a class stops at the first block of a
+//!   round that detects it — and is the denominator of the
 //!   `fault_sim_checks_per_sec` throughput `evaluation.rs` derives per
-//!   stage); `sim.faults_skipped_unobservable` counts faults the static
-//!   observability prune rejected without simulating;
+//!   stage; `sim.faults_skipped_unobservable` counts the unobservable
+//!   classes the static prune never simulates, once per grader;
 //!   `sim.faults_collapsed` counts faults folded into an equivalence-class
-//!   representative; `sim.fault_detections` counts set bits credited.
-//!   The word-packed (PPSFP) kernel adds `sim.block_evals`, the number of
-//!   64-lane pattern blocks built (each graded against many faults), and
-//!   `sim.patterns_per_block`, the total real patterns across those
-//!   blocks — `patterns_per_block / (64 * block_evals)` is the lane
-//!   utilization `scap profile --metrics` reports. The event-driven
+//!   representative; `sim.fault_detections` counts classes detected.
+//!   `sim.block_evals` counts the 64-lane pattern blocks simulated (each
+//!   against many faults) and `sim.patterns_per_block` the real patterns
+//!   across those blocks — `patterns_per_block / (64 * block_evals)` is
+//!   the lane utilization `scap profile --metrics` reports. The event-driven
 //!   timing kernel counts `sim.event_runs`, one per simulated toggle
 //!   trace (the external benchmark multiplies its per-trace cost by
 //!   it), and `sim.toggle_events`, the transitions those traces hold;
 //!   the `sim.event` span times each run.
-//! * `grade.*` — pattern grading. `grade.fault_shards` counts the
-//!   fault-parallel shards the grade/compact loops dispatched;
+//! * `grade.*` — post-hoc pattern grading only (`grade_patterns`, which
+//!   compaction runs on the reversed set, and the noise-aware flow's
+//!   step grading; ATPG drop simulation counts only `sim.*`).
+//!   `grade.rounds` counts rounds of up to one block per worker,
+//!   `grade.fault_shards` the fault-parallel shards they dispatched, and
 //!   `grade.faults_dropped`/`grade.fault_sim_targets` size the shrinking
-//!   remaining-fault working set across rounds.
-//! * `atpg.*` — spans around the PODEM primary/secondary passes and the
-//!   per-pattern drop simulation.
+//!   remaining-fault working set across rounds. The `grade.run` span
+//!   times each grading pass.
+//! * `atpg.*` — spans around the PODEM primary/secondary passes, the
+//!   fill of each closed pattern (`atpg.fill`) and its drop simulation
+//!   (`atpg.drop_sim`). Like every span, `atpg.fill` and `grade.run`
+//!   are inert while collection is off.
 //! * `cg.*` — `cg.solves` counts power-grid solves, each a forward and
 //!   a back substitution through the grid's Cholesky factor. The `cg`
 //!   prefix is historical. It stays because the external benchmark

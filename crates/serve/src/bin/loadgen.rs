@@ -24,7 +24,25 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args = Args::parse(std::env::args().skip(1));
-    let addr_raw = args.get("addr").unwrap_or("127.0.0.1:7878");
+    let text = |name: &str, default: &'static str| args.value(name).map(|v| v.unwrap_or(default));
+    let (addr_raw, method, path, query, body) = match (
+        text("addr", "127.0.0.1:7878"),
+        text("method", "GET"),
+        text("path", "/healthz"),
+        text("query", ""),
+        text("body", ""),
+    ) {
+        (Ok(a), Ok(m), Ok(p), Ok(q), Ok(b)) => (a, m, p, q, b),
+        (a, m, p, q, b) => {
+            for e in [a.err(), m.err(), p.err(), q.err(), b.err()]
+                .into_iter()
+                .flatten()
+            {
+                eprintln!("scap-loadgen: {e}");
+            }
+            return ExitCode::from(2);
+        }
+    };
     let addr: SocketAddr = match addr_raw.parse() {
         Ok(a) => a,
         Err(_) => {
@@ -32,10 +50,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let method = args.get("method").unwrap_or("GET");
-    let path = args.get("path").unwrap_or("/healthz");
-    let query = args.get("query").unwrap_or("");
-    let body = args.get("body").unwrap_or("");
     let require_200 = args.has("require-200");
     let (concurrency, per_thread, seeds, seed_base) = match (
         args.usize_flag("concurrency", 4),

@@ -92,9 +92,9 @@ impl FlowSpec {
     /// Reads and validates `flow`, `fill` and `engine` from `args`.
     pub fn parse(args: &Args) -> Result<Self, String> {
         Ok(FlowSpec {
-            kind: FlowKind::parse(args.get("flow"))?,
-            fill: parse_fill(args.get("fill"))?,
-            engine: parse_engine(args.get("engine"))?,
+            kind: FlowKind::parse(args.value("flow")?)?,
+            fill: parse_fill(args.value("fill")?)?,
+            engine: parse_engine(args.value("engine")?)?,
         })
     }
 

@@ -249,9 +249,12 @@ impl StaParams {
     /// Validates a request's parameters.
     pub fn parse(args: &Args) -> Result<Self, String> {
         reject_unknown(args, &with_common(&["derate", "k", "paths"]))?;
-        let derate = match args.get("derate") {
-            None | Some("false") | Some("0") => false,
-            Some("true") | Some("1") | Some("") => true,
+        // A boolean like `--derate`: bare means true, and a value may
+        // say so explicitly.
+        let derate = match args.get_all("derate").first() {
+            None => args.has("derate"),
+            Some(&("true" | "1" | "")) => true,
+            Some(&("false" | "0")) => false,
             Some(other) => return Err(format!("derate expects true or false, got '{other}'")),
         };
         let k = args.f64_flag("k")?.unwrap_or(1.0);
@@ -388,7 +391,7 @@ impl ProfileParams {
         Ok(ProfileParams {
             common: CommonParams::parse(args)?,
             flow: FlowSpec::parse(args)?,
-            block: args.get("block").unwrap_or("B5").to_owned(),
+            block: args.value("block")?.unwrap_or("B5").to_owned(),
         })
     }
 
@@ -545,7 +548,7 @@ impl SleepParams {
     /// Validates a request's parameters.
     pub fn parse(args: &Args) -> Result<Self, String> {
         reject_unknown(args, &["ms", "deadline_ms"])?;
-        let raw = args.get("ms").unwrap_or("100");
+        let raw = args.value("ms")?.unwrap_or("100");
         let ms = raw
             .parse::<u64>()
             .map_err(|_| format!("ms expects a non-negative integer, got '{raw}'"))?;
@@ -619,6 +622,32 @@ mod tests {
         assert!(StaParams::parse(&Args::from_query("derate=maybe")).is_err());
         assert!(StaParams::parse(&Args::from_query("k=-2")).is_err());
         assert!(StaParams::parse(&Args::from_query("scael=0.01")).is_err());
+    }
+
+    /// A value parameter without its value is a 400, never its
+    /// default: `scale&scale=0.5` used to parse as scale 0.01. A bare
+    /// `derate` is the boolean it is on the CLI (`POST /v1/sta?derate`
+    /// used to run the nominal analysis).
+    #[test]
+    fn valueless_parameters_error_except_boolean_derate() {
+        assert!(DesignParams::parse(&Args::from_query("scale&scale=0.5")).is_err());
+        assert!(DesignParams::parse(&Args::from_request("seed=1", "seed")).is_err());
+        assert!(ProfileParams::parse(&Args::from_query("flow&flow=conventional")).is_err());
+        assert!(ProfileParams::parse(&Args::from_query("block")).is_err());
+        assert!(SleepParams::parse(&Args::from_query("ms")).is_err());
+        let minute = std::time::Duration::from_secs(60);
+        assert!(crate::deadline_of(&Args::from_query("deadline_ms"), minute).is_err());
+        assert!(StaParams::parse(&Args::from_query("paths")).is_err());
+        assert!(
+            StaParams::parse(&Args::from_request("derate", ""))
+                .unwrap()
+                .derate
+        );
+        assert!(
+            !StaParams::parse(&Args::from_query("derate=false&derate"))
+                .unwrap()
+                .derate
+        );
     }
 
     #[test]

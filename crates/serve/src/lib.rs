@@ -111,7 +111,7 @@ impl ServeConfig {
         let deadline_ms =
             args.usize_flag("deadline-ms", d.default_deadline.as_millis() as usize)?;
         Ok(ServeConfig {
-            addr: args.get("addr").unwrap_or(&d.addr).to_owned(),
+            addr: args.value("addr")?.unwrap_or(&d.addr).to_owned(),
             workers: args.usize_flag("workers", d.workers)?,
             queue_depth: args.usize_flag("queue-depth", d.queue_depth)?,
             cache_capacity: args.usize_flag("cache-capacity", d.cache_capacity)?,
@@ -485,7 +485,7 @@ fn pooled(ctx: &ServerCtx, route: Route, args: &Args) -> Response {
 }
 
 fn deadline_of(args: &Args, default: Duration) -> Result<Duration, String> {
-    let Some(raw) = args.get("deadline_ms") else {
+    let Some(raw) = args.value("deadline_ms")? else {
         return Ok(default);
     };
     match raw.parse::<u64>() {

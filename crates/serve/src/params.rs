@@ -14,9 +14,10 @@
 /// Parsed flags and positionals.
 ///
 /// Lookup is first-match: when a flag is repeated, the earliest
-/// occurrence wins ([`Args::get`]); [`Args::get_all`] exposes every
+/// occurrence wins ([`Args::value`]); [`Args::get_all`] exposes every
 /// occurrence. The server relies on first-match to give query-string
-/// parameters precedence over request-body parameters.
+/// parameters precedence over request-body parameters. A value-taking
+/// flag given without its value is an error, never its default.
 #[derive(Clone, Debug, Default)]
 pub struct Args {
     /// Non-flag tokens, in order (the CLI's subcommand and operands).
@@ -81,12 +82,21 @@ impl Args {
         }
     }
 
-    /// First value of `name`, if the flag is present with a value.
-    pub fn get(&self, name: &str) -> Option<&str> {
-        self.flags
-            .iter()
-            .find(|(n, _)| n == name)
-            .and_then(|(_, v)| v.as_deref())
+    /// The value of the value-taking flag `name`: `None` when absent,
+    /// else its first occurrence's value. Any occurrence without a value
+    /// is an error: `--scale` with its value forgotten must not build
+    /// the default design. Boolean flags use [`Args::has`].
+    pub fn value(&self, name: &str) -> Result<Option<&str>, String> {
+        let mut first = None;
+        for (_, v) in self.flags.iter().filter(|(n, _)| n == name) {
+            match v {
+                Some(v) => {
+                    first.get_or_insert(v.as_str());
+                }
+                None => return Err(format!("{name} expects a value")),
+            }
+        }
+        Ok(first)
     }
 
     /// Every value of `name`, in order (valueless occurrences are
@@ -117,7 +127,7 @@ impl Args {
     /// `--scale` in `[MIN_SCALE, 1]` (the generator's floor, see
     /// [`scap::soc::MIN_SCALE`]), defaulting to 0.01.
     pub fn scale(&self) -> Result<f64, String> {
-        let Some(raw) = self.get("scale") else {
+        let Some(raw) = self.value("scale")? else {
             return Ok(0.01);
         };
         match raw.parse::<f64>() {
@@ -132,7 +142,7 @@ impl Args {
 
     /// `--seed`, defaulting to the Turbo-Eagle preset seed.
     pub fn seed(&self) -> Result<u64, String> {
-        let Some(raw) = self.get("seed") else {
+        let Some(raw) = self.value("seed")? else {
             return Ok(scap::CaseStudy::default_seed());
         };
         raw.parse::<u64>()
@@ -141,7 +151,7 @@ impl Args {
 
     /// `--threads`, a positive worker count, if present.
     pub fn threads(&self) -> Result<Option<usize>, String> {
-        let Some(raw) = self.get("threads") else {
+        let Some(raw) = self.value("threads")? else {
             return Ok(None);
         };
         match raw.parse::<usize>() {
@@ -152,7 +162,7 @@ impl Args {
 
     /// A positive-integer flag with a default.
     pub fn usize_flag(&self, name: &str, default: usize) -> Result<usize, String> {
-        let Some(raw) = self.get(name) else {
+        let Some(raw) = self.value(name)? else {
             return Ok(default);
         };
         match raw.parse::<usize>() {
@@ -163,7 +173,7 @@ impl Args {
 
     /// A finite-float flag, if present.
     pub fn f64_flag(&self, name: &str) -> Result<Option<f64>, String> {
-        let Some(raw) = self.get(name) else {
+        let Some(raw) = self.value(name)? else {
             return Ok(None);
         };
         match raw.parse::<f64>() {
@@ -227,22 +237,22 @@ mod tests {
         assert_eq!(args.positional, vec!["atpg"]);
         assert_eq!(args.scale().unwrap(), 0.02);
         assert!(args.has("compact"));
-        assert_eq!(args.get("stil"), Some("out.stil"));
-        assert_eq!(args.get("missing"), None);
+        assert_eq!(args.value("stil"), Ok(Some("out.stil")));
+        assert_eq!(args.value("missing"), Ok(None));
     }
 
     #[test]
     fn flag_without_value_before_another_flag() {
         let args = cli(&["profile", "--compact", "--scale", "0.5"]);
         assert!(args.has("compact"));
-        assert_eq!(args.get("compact"), None);
+        assert!(args.value("compact").is_err());
         assert_eq!(args.scale().unwrap(), 0.5);
     }
 
     #[test]
     fn negative_number_is_a_value_not_a_flag() {
         let args = cli(&["schedule", "--budget", "-5.5"]);
-        assert_eq!(args.get("budget"), Some("-5.5"));
+        assert_eq!(args.value("budget"), Ok(Some("-5.5")));
         // …and it parses (the range check is the caller's policy).
         assert_eq!(args.f64_flag("budget").unwrap(), Some(-5.5));
         assert!(args.positional == vec!["schedule"]);
@@ -251,7 +261,7 @@ mod tests {
     #[test]
     fn repeated_flags_first_wins_and_all_are_kept() {
         let args = cli(&["x", "--scale", "0.5", "--scale", "0.25"]);
-        assert_eq!(args.get("scale"), Some("0.5"));
+        assert_eq!(args.value("scale"), Ok(Some("0.5")));
         assert_eq!(args.scale().unwrap(), 0.5);
         assert_eq!(args.get_all("scale"), vec!["0.5", "0.25"]);
     }
@@ -286,20 +296,40 @@ mod tests {
         assert!(cli(&["--budget", "nan"]).f64_flag("budget").is_err());
     }
 
+    /// A value flag given without its value errors instead of falling
+    /// back to the default, whether it stands alone, shadows a later
+    /// valued occurrence or follows one.
+    #[test]
+    fn valueless_value_flags_are_errors() {
+        assert!(cli(&["generate", "--scale"]).scale().is_err());
+        assert!(cli(&["atpg", "--scale", "0.01", "--stil"])
+            .value("stil")
+            .is_err());
+        assert!(cli(&["x", "--seed", "--scale", "0.5"]).seed().is_err());
+        assert!(cli(&["x", "--threads"]).threads().is_err());
+        assert!(cli(&["x", "--paths"]).usize_flag("paths", 3).is_err());
+        assert!(cli(&["x", "--budget"]).f64_flag("budget").is_err());
+        assert!(Args::from_query("scale&scale=0.5").scale().is_err());
+        assert!(Args::from_query("scale=0.5&scale").scale().is_err());
+        assert!(Args::from_request("scale=0.5", "scale").scale().is_err());
+        // Absent flags still take their defaults.
+        assert_eq!(Args::from_query("seed=3").scale(), Ok(0.01));
+    }
+
     #[test]
     fn query_pairs_parse_like_flags() {
         let args = Args::from_query("scale=0.02&flow=conventional&compact");
         assert_eq!(args.scale().unwrap(), 0.02);
-        assert_eq!(args.get("flow"), Some("conventional"));
+        assert_eq!(args.value("flow"), Ok(Some("conventional")));
         assert!(args.has("compact"));
-        assert_eq!(args.get("compact"), None);
+        assert!(args.value("compact").is_err());
     }
 
     #[test]
     fn query_takes_precedence_over_body() {
         let args = Args::from_request("scale=0.5", "scale=0.25&fill=fill-0");
         assert_eq!(args.scale().unwrap(), 0.5);
-        assert_eq!(args.get("fill"), Some("fill-0"));
+        assert_eq!(args.value("fill"), Ok(Some("fill-0")));
     }
 
     #[test]
@@ -308,7 +338,7 @@ mod tests {
         assert_eq!(percent_decode("100%"), "100%");
         assert_eq!(percent_decode("%zz"), "%zz");
         let args = Args::from_query("name=B%35");
-        assert_eq!(args.get("name"), Some("B5"));
+        assert_eq!(args.value("name"), Ok(Some("B5")));
     }
 
     #[test]

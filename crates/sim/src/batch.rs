@@ -34,6 +34,22 @@ pub struct BatchSim<'a> {
     netlist: &'a Netlist,
     levelization: Levelization,
     table: SimTable,
+    /// Tie-cell nets and their values ([`constant_nets`]).
+    constants: Vec<(usize, bool)>,
+}
+
+/// Every constant (tie-cell) net of `netlist` with its value, listed
+/// once per simulator instead of on every evaluation.
+pub(crate) fn constant_nets(netlist: &Netlist) -> Vec<(usize, bool)> {
+    netlist
+        .nets()
+        .iter()
+        .enumerate()
+        .filter_map(|(i, net)| match net.source {
+            Some(NetSource::Const(c)) => Some((i, c)),
+            _ => None,
+        })
+        .collect()
 }
 
 impl<'a> BatchSim<'a> {
@@ -59,6 +75,7 @@ impl<'a> BatchSim<'a> {
             netlist,
             levelization,
             table,
+            constants: constant_nets(netlist),
         }
     }
 
@@ -97,10 +114,8 @@ impl<'a> BatchSim<'a> {
         for (i, flop) in n.flops().iter().enumerate() {
             values[flop.q.index()] = flop_q[i];
         }
-        for (i, net) in n.nets().iter().enumerate() {
-            if let Some(NetSource::Const(c)) = net.source {
-                values[i] = if c { !0 } else { 0 };
-            }
+        for &(i, c) in &self.constants {
+            values[i] = if c { !0 } else { 0 };
         }
         self.propagate(&mut values);
         values
@@ -134,7 +149,7 @@ mod tests {
         let mut b = NetlistBuilder::new("r");
         let blk = b.add_block("B1");
         let clk = b.add_clock_domain("clka", 100e6);
-        let mut pool = Vec::new();
+        let mut pool = vec![b.add_const("tie0", false), b.add_const("tie1", true)];
         for i in 0..8 {
             pool.push(b.add_primary_input(format!("pi{i}")));
         }
@@ -199,6 +214,11 @@ mod tests {
                         logics[i] == Logic::One,
                         "net {i} seed {seed}"
                     );
+                }
+                // Agreement alone would not catch a tie both forget.
+                for (i, c) in constant_nets(&n) {
+                    assert_eq!(words[i], if c { !0 } else { 0 }, "tie net {i}");
+                    assert_eq!(logics[i], Logic::from(c), "tie net {i}");
                 }
             }
         }

@@ -248,7 +248,11 @@ impl FaultList {
 #[derive(Clone, Debug)]
 pub struct CollapseMap {
     rep: Vec<u32>,
-    num_collapsed: usize,
+    /// Class members grouped by representative (CSR): representative
+    /// `r`'s members are `members[offsets[r]..offsets[r + 1]]`, an empty
+    /// range for non-representatives.
+    offsets: Vec<u32>,
+    members: Vec<u32>,
 }
 
 impl CollapseMap {
@@ -316,7 +320,28 @@ impl CollapseMap {
             rep[i] = deepest;
         }
         scap_obs::counter!("sim.faults_collapsed").add(num_collapsed as u64);
-        CollapseMap { rep, num_collapsed }
+        // Counting sort by representative: count each class at its
+        // representative, prefix-sum to class ends, then place members
+        // back to front so each range ends ascending at its start.
+        let mut offsets = vec![0u32; rep.len() + 1];
+        for &r in &rep {
+            offsets[r as usize] += 1;
+        }
+        let mut end = 0;
+        for o in &mut offsets {
+            end += *o;
+            *o = end;
+        }
+        let mut members = vec![0u32; rep.len()];
+        for (i, &r) in rep.iter().enumerate().rev() {
+            offsets[r as usize] -= 1;
+            members[offsets[r as usize] as usize] = i as u32;
+        }
+        CollapseMap {
+            rep,
+            offsets,
+            members,
+        }
     }
 
     /// Representative fault index per fault (identity for class
@@ -325,26 +350,10 @@ impl CollapseMap {
         &self.rep
     }
 
-    /// Whether fault `i` represents its class.
-    #[inline]
-    pub fn is_rep(&self, i: usize) -> bool {
-        self.rep[i] == i as u32
-    }
-
-    /// Number of faults folded into another representative.
-    pub fn num_collapsed(&self) -> usize {
-        self.num_collapsed
-    }
-
-    /// Class members grouped by representative: `members()[r]` lists
-    /// every fault whose representative is `r` (including `r` itself);
-    /// empty for non-representatives.
-    pub fn members(&self) -> Vec<Vec<u32>> {
-        let mut members = vec![Vec::new(); self.rep.len()];
-        for (i, &r) in self.rep.iter().enumerate() {
-            members[r as usize].push(i as u32);
-        }
-        members
+    /// Every fault whose representative is `rep`, ascending (`rep`
+    /// itself included); empty for a non-representative.
+    pub fn members(&self, rep: usize) -> &[u32] {
+        &self.members[self.offsets[rep] as usize..self.offsets[rep + 1] as usize]
     }
 }
 
@@ -470,15 +479,21 @@ mod tests {
         );
         assert_eq!(map.rep()[str_a as usize], stf_w2);
         assert_eq!(map.rep()[stf_w1 as usize], stf_w2);
-        assert!(map.is_rep(stf_w2 as usize));
+        assert_eq!(map.rep()[stf_w2 as usize], stf_w2);
         // Faults on a and w1 (both polarities) fold into w2's classes;
         // w2's two faults represent themselves.
-        assert_eq!(map.num_collapsed(), 4);
-        let members = map.members();
-        assert_eq!(members[stf_w2 as usize].len(), 3);
-        for m in &members[stf_w2 as usize] {
-            assert_eq!(map.rep()[*m as usize], stf_w2);
+        let collapsed = map.rep().iter().enumerate();
+        assert_eq!(collapsed.filter(|&(i, &r)| r != i as u32).count(), 4);
+        let members = map.members(stf_w2 as usize);
+        assert_eq!(members.len(), 3);
+        assert!(members.windows(2).all(|w| w[0] < w[1]));
+        for &m in members {
+            assert_eq!(map.rep()[m as usize], stf_w2);
         }
+        // Every fault sits in exactly one class.
+        let sizes: usize = (0..fl.faults().len()).map(|r| map.members(r).len()).sum();
+        assert_eq!(sizes, fl.faults().len());
+        assert!(map.members(str_a as usize).is_empty());
     }
 
     #[test]

@@ -12,8 +12,10 @@
 use crate::loc::{self, BatchFrames, LaunchMode, State2Src};
 use crate::sched::LevelQueue;
 use crate::Polarity;
-use crate::{BatchSim, FaultSite, TransitionFault};
+use crate::{BatchSim, CollapseMap, FaultList, FaultSite, TransitionFault};
+use scap_exec::{shard_ranges, Executor};
 use scap_netlist::{ClockId, Netlist};
+use std::sync::Mutex;
 
 /// Result of simulating a pattern batch against a fault list.
 #[derive(Clone, Debug, Default)]
@@ -61,6 +63,9 @@ pub struct TransitionFaultSim<'a> {
     observable: Vec<bool>,
     /// Bucket count for the levelized scheduler (max net level + 1).
     num_levels: u32,
+    /// Propagation buffers kept between calls; each caller or worker
+    /// borrows one for the length of its loop ([`Self::with_scratch`]).
+    scratch: Mutex<Vec<PropagationScratch>>,
 }
 
 impl<'a> TransitionFaultSim<'a> {
@@ -92,6 +97,7 @@ impl<'a> TransitionFaultSim<'a> {
             observed,
             observable: loc::observable_mask(netlist, &points),
             num_levels,
+            scratch: Mutex::default(),
         }
     }
 
@@ -133,51 +139,32 @@ impl<'a> TransitionFaultSim<'a> {
         valid_mask: u64,
         faults: &[TransitionFault],
     ) -> DetectionSummary {
-        let mut scratch = PropagationScratch::new(self.batch.netlist().num_nets());
-        self.detect_batch_with_scratch(load, pi, valid_mask, faults, &mut scratch)
+        let frames = self.frames(load, pi);
+        self.with_scratch(|scratch| DetectionSummary {
+            detect_mask: faults
+                .iter()
+                .map(|&fault| self.detect_one(&frames, valid_mask, fault, scratch))
+                .collect(),
+        })
     }
 
-    /// Like [`TransitionFaultSim::detect_batch`] but reuses caller-owned
-    /// propagation buffers — avoids one diff-vector allocation per batch
-    /// when grading many batches (e.g. one scratch per worker thread).
-    pub fn detect_batch_with_scratch(
-        &self,
-        load: &[u64],
-        pi: &[u64],
-        valid_mask: u64,
-        faults: &[TransitionFault],
-        scratch: &mut PropagationScratch,
-    ) -> DetectionSummary {
-        let mut summary = DetectionSummary {
-            detect_mask: Vec::with_capacity(faults.len()),
-        };
-        let mut detections = 0u64;
-        let mut skipped = 0u64;
-        let frames = self.frames(load, pi);
-        scap_obs::counter!("sim.block_evals").incr();
-        scap_obs::counter!("sim.patterns_per_block").add(u64::from(valid_mask.count_ones()));
-        for fault in faults {
-            if !self.is_observable(*fault) {
-                skipped += 1;
-                summary.detect_mask.push(0);
-                continue;
-            }
-            let mask = self.detect_one(&frames, valid_mask, *fault, scratch);
-            detections += u64::from(mask != 0);
-            summary.detect_mask.push(mask);
-        }
-        scap_obs::counter!("sim.fault_sim_batches").incr();
-        scap_obs::counter!("sim.fault_sim_checks").add(faults.len() as u64);
-        scap_obs::counter!("sim.fault_detections").add(detections);
-        scap_obs::counter!("sim.faults_skipped_unobservable").add(skipped);
-        summary
+    /// Runs `f` with propagation buffers borrowed from the simulator's
+    /// pool, so they stay warm across calls; the pool grows to the most
+    /// borrowers ever active at once. The lock is held only to take and
+    /// return a buffer, never while `f` runs.
+    fn with_scratch<R>(&self, f: impl FnOnce(&mut PropagationScratch) -> R) -> R {
+        const POISON: &str = "the pool lock is never held across a panic";
+        let mut scratch = self.scratch.lock().expect(POISON).pop().unwrap_or_default();
+        let out = f(&mut scratch);
+        self.scratch.lock().expect(POISON).push(scratch);
+        out
     }
 
     /// Detection mask of one fault against precomputed frames: the
     /// valid lanes that launch the transition at the site *and*
     /// propagate the frame-2 stuck-at difference to an observed capture
-    /// point. The one detection kernel — batch simulation, grading,
-    /// compaction and ATPG drop simulation all call it.
+    /// point. The one detection kernel: [`FaultGrader`] and
+    /// [`TransitionFaultSim::detect_batch`] call it.
     pub fn detect_one(
         &self,
         frames: &BatchFrames,
@@ -283,6 +270,142 @@ impl<'a> TransitionFaultSim<'a> {
             }
         }
         detected
+    }
+}
+
+/// `FaultGrader::first` of a fault not yet detected.
+const UNDETECTED: u32 = u32::MAX;
+/// `FaultGrader::first` of a fault detected before the grader was built.
+const EARLIER: u32 = u32::MAX - 1;
+
+/// Fault simulation with dropping: the one loop behind ATPG drop
+/// simulation, post-hoc grading and static compaction.
+///
+/// The fault list is collapsed into equivalence classes
+/// ([`CollapseMap`]). Only each class's representative is simulated, and
+/// only while the class is undetected and the representative observable;
+/// a detection credits every member. Each [`FaultGrader::apply`] shards
+/// the pending representatives across the executor's workers, each on
+/// propagation buffers the simulator keeps between calls. A
+/// representative runs through the call's blocks in order and stops at
+/// the first block that detects it, crediting that block's lowest
+/// detecting lane. A fault's first detection depends only on the pattern
+/// order, so the record is bit-identical at every thread count.
+#[derive(Debug)]
+pub struct FaultGrader<'s, 'a> {
+    sim: &'s TransitionFaultSim<'a>,
+    exec: Executor,
+    faults: &'s [TransitionFault],
+    classes: CollapseMap,
+    /// Observable representatives of undetected classes, ascending.
+    pending: Vec<u32>,
+    /// First detecting pattern per fault, or [`UNDETECTED`] / [`EARLIER`].
+    first: Vec<u32>,
+}
+
+impl<'s, 'a> FaultGrader<'s, 'a> {
+    /// A grader over `faults` on `sim`. Faults for which `detected`
+    /// holds count as detected before the first pattern: they are never
+    /// credited, and a class made only of them is never simulated.
+    pub fn new(
+        sim: &'s TransitionFaultSim<'a>,
+        faults: &'s FaultList,
+        detected: impl Fn(usize) -> bool,
+    ) -> Self {
+        let list = faults.faults();
+        let classes = faults.collapse(sim.batch.netlist());
+        let first: Vec<u32> = (0..list.len())
+            .map(|i| if detected(i) { EARLIER } else { UNDETECTED })
+            .collect();
+        let mut unobservable = 0u64;
+        let pending = (0..list.len() as u32)
+            .filter(|&r| {
+                let open = classes
+                    .members(r as usize)
+                    .iter()
+                    .any(|&m| first[m as usize] == UNDETECTED);
+                let observable = open && sim.is_observable(list[r as usize]);
+                unobservable += u64::from(open && !observable);
+                observable
+            })
+            .collect();
+        scap_obs::counter!("sim.faults_skipped_unobservable").add(unobservable);
+        FaultGrader {
+            sim,
+            exec: Executor::new(),
+            faults: list,
+            classes,
+            pending,
+            first,
+        }
+    }
+
+    /// Simulates consecutive blocks of up to 64 patterns against every
+    /// pending class. `blocks[k]` holds the launch frames
+    /// ([`TransitionFaultSim::frames`]) and valid lanes of the block
+    /// whose lane 0 is pattern `first + 64 * k`. Returns the faults this
+    /// call detected, ascending within each class.
+    pub fn apply(&mut self, first: usize, blocks: &[(BatchFrames, u64)]) -> Vec<u32> {
+        assert!(
+            first + 64 * blocks.len() < EARLIER as usize,
+            "pattern indices must stay below the grader's sentinels"
+        );
+        for (_, valid) in blocks {
+            scap_obs::counter!("sim.block_evals").incr();
+            scap_obs::counter!("sim.patterns_per_block").add(u64::from(valid.count_ones()));
+        }
+        let (sim, faults, pending) = (self.sim, self.faults, &self.pending);
+        let shards = shard_ranges(pending.len(), self.exec.threads());
+        let hits: Vec<Vec<(u32, u32)>> = self.exec.parallel_map(&shards, |range| {
+            sim.with_scratch(|scratch| {
+                let mut hits = Vec::new();
+                let mut checks = 0u64;
+                for &r in &pending[range.clone()] {
+                    for (k, (frames, valid)) in blocks.iter().enumerate() {
+                        checks += 1;
+                        let mask = sim.detect_one(frames, *valid, faults[r as usize], scratch);
+                        if mask != 0 {
+                            let lane = (first + 64 * k) as u32 + mask.trailing_zeros();
+                            hits.push((r, lane));
+                            break;
+                        }
+                    }
+                }
+                scap_obs::counter!("sim.fault_sim_checks").add(checks);
+                scap_obs::counter!("sim.fault_detections").add(hits.len() as u64);
+                hits
+            })
+        });
+        let mut credited = Vec::new();
+        for &(r, p) in hits.iter().flatten() {
+            for &m in self.classes.members(r as usize) {
+                if self.first[m as usize] == UNDETECTED {
+                    self.first[m as usize] = p;
+                    credited.push(m);
+                }
+            }
+        }
+        // Hits come in pending order (shards are contiguous and ordered).
+        let mut detected = hits.iter().flatten().map(|&(r, _)| r).peekable();
+        self.pending.retain(|&r| detected.next_if_eq(&r).is_none());
+        credited
+    }
+
+    /// The simulator whose kernel the grader runs.
+    pub fn sim(&self) -> &'s TransitionFaultSim<'a> {
+        self.sim
+    }
+
+    /// Number of classes still simulated: observable and undetected.
+    pub fn pending(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Index of the first pattern that detected `fault`; `None` if no
+    /// applied pattern did, or if it counted as detected beforehand.
+    pub fn first_detection(&self, fault: usize) -> Option<usize> {
+        let p = self.first[fault];
+        (p < EARLIER).then_some(p as usize)
     }
 }
 

@@ -10,10 +10,11 @@
 //!   launch-off-capture and launch-off-shift) and the observability map
 //!   ([`loc::observation_points`] / [`loc::observable_mask`]),
 //! * [`BatchSim`] — 64-way bit-parallel good-machine simulation,
-//! * [`TransitionFaultSim`] — PPSFP transition-delay-fault simulation with
-//!   fault dropping (drives coverage curves and dynamic compaction); its
-//!   [`TransitionFaultSim::detect_one`] over [`loc::BatchFrames`] is the
-//!   one detection kernel,
+//! * [`TransitionFaultSim`] — PPSFP transition-delay-fault simulation;
+//!   its [`TransitionFaultSim::detect_one`] over [`loc::BatchFrames`] is
+//!   the one detection kernel, and [`FaultGrader`] the one fault
+//!   simulator with dropping (ATPG drop simulation, coverage curves and
+//!   static compaction),
 //! * [`EventSim`] — event-driven gate-level timing simulation producing a
 //!   [`ToggleTrace`] (the VCD substitute) and the per-pattern switching
 //!   time window (STW) that defines SCAP; one exact femtosecond kernel
@@ -55,7 +56,7 @@ mod table;
 pub use batch::BatchSim;
 pub use event::{EventScratch, EventSim, GateDelays, ToggleEvent, ToggleTrace};
 pub use fault::{CollapseMap, FaultList, FaultSite, Polarity, TransitionFault};
-pub use fault_sim::{DetectionSummary, PropagationScratch, TransitionFaultSim};
+pub use fault_sim::{DetectionSummary, FaultGrader, PropagationScratch, TransitionFaultSim};
 pub use loc::LaunchMode;
 pub use logic_sim::LogicSim;
 pub use sched::LevelQueue;

@@ -1,6 +1,7 @@
 //! Levelized three-valued zero-delay simulation.
 
-use scap_netlist::{Levelization, Logic, NetSource, Netlist};
+use crate::batch::constant_nets;
+use scap_netlist::{Levelization, Logic, Netlist};
 
 /// Levelized three-valued simulator over one netlist.
 ///
@@ -29,6 +30,8 @@ use scap_netlist::{Levelization, Logic, NetSource, Netlist};
 pub struct LogicSim<'a> {
     netlist: &'a Netlist,
     levelization: Levelization,
+    /// Tie-cell nets and their values, listed once.
+    constants: Vec<(usize, bool)>,
 }
 
 impl<'a> LogicSim<'a> {
@@ -53,6 +56,7 @@ impl<'a> LogicSim<'a> {
         LogicSim {
             netlist,
             levelization,
+            constants: constant_nets(netlist),
         }
     }
 
@@ -88,10 +92,8 @@ impl<'a> LogicSim<'a> {
         for (i, flop) in n.flops().iter().enumerate() {
             values[flop.q.index()] = flop_q[i];
         }
-        for (i, net) in n.nets().iter().enumerate() {
-            if let Some(NetSource::Const(c)) = net.source {
-                values[i] = Logic::from_bool(c);
-            }
+        for &(i, c) in &self.constants {
+            values[i] = Logic::from_bool(c);
         }
         let mut inbuf: Vec<Logic> = Vec::with_capacity(4);
         for &g in self.levelization.order() {

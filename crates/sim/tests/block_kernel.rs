@@ -1,6 +1,6 @@
 //! Differential tests of the word-packed (PPSFP) detection kernel.
 //!
-//! [`TransitionFaultSim::detect_batch_with_scratch`] grades up to 64
+//! [`TransitionFaultSim::detect_batch`] grades up to 64
 //! fully specified patterns per gate evaluation; these properties pin
 //! it, lane for lane, to the scalar three-valued machinery ([`LogicSim`]
 //! plus the fault injection of [`eval_injected`]) on randomized, randomly
@@ -20,10 +20,7 @@ use rand::{Rng, SeedableRng};
 use scap_netlist::{
     CellKind, ClockEdge, ClockId, FlopId, Logic, NetId, Netlist, NetlistBuilder, ScanRole,
 };
-use scap_sim::{
-    FaultList, FaultSite, LaunchMode, LogicSim, PropagationScratch, TransitionFault,
-    TransitionFaultSim,
-};
+use scap_sim::{FaultList, FaultSite, LaunchMode, LogicSim, TransitionFault, TransitionFaultSim};
 
 /// Strategy: a random acyclic netlist (same shape as the scalar kernel
 /// equivalence tests: chains, dead cones, mixing gates) whose flops are
@@ -221,7 +218,7 @@ fn launch_mode(shift: bool) -> LaunchMode {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// `detect_batch_with_scratch` ≡ `count` scalar single-pattern
+    /// `detect_batch` ≡ `count` scalar single-pattern
     /// detections, on random netlists, the full fault universe and
     /// partially filled batches whose stale lanes hold random bits. Stale
     /// lanes never appear in a mask.
@@ -241,9 +238,7 @@ proptest! {
         let pi: Vec<u64> = (0..n.primary_inputs().len()).map(|_| rng.gen()).collect();
         let valid_mask = if count == 64 { !0 } else { (1u64 << count) - 1 };
         let faults = FaultList::full(&n);
-        let mut scratch = PropagationScratch::new(n.num_nets());
-        let summary =
-            fsim.detect_batch_with_scratch(&load, &pi, valid_mask, faults.faults(), &mut scratch);
+        let summary = fsim.detect_batch(&load, &pi, valid_mask, faults.faults());
         let lanes: Vec<ScalarLane> = (0..count)
             .map(|p| ScalarLane::new(&n, &sim, mode, clka, lane(&load, p), lane(&pi, p)))
             .collect();
@@ -278,13 +273,10 @@ proptest! {
         let faults = FaultList::full(&n);
         let load: Vec<u64> = (0..n.num_flops()).map(|_| rng.gen()).collect();
         let pi: Vec<u64> = (0..n.primary_inputs().len()).map(|_| rng.gen()).collect();
-        let mut scratch = PropagationScratch::new(n.num_nets());
-        let full =
-            fsim.detect_batch_with_scratch(&load, &pi, !0, faults.faults(), &mut scratch);
+        let full = fsim.detect_batch(&load, &pi, !0, faults.faults());
         for p in [0usize, 1, 17, 40, 63] {
             let bit = 1u64 << p;
-            let single =
-                fsim.detect_batch_with_scratch(&load, &pi, bit, faults.faults(), &mut scratch);
+            let single = fsim.detect_batch(&load, &pi, bit, faults.faults());
             for (i, (&f, &s)) in full.detect_mask.iter().zip(&single.detect_mask).enumerate() {
                 prop_assert_eq!(
                     s, f & bit,

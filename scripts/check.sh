@@ -48,9 +48,10 @@ if [ "$fast" -eq 0 ]; then
     fi
     echo "lint clean at scales 0.005 and 0.01; JSON output parses; --only filter works."
 
-    echo "== CLI usage errors (bad flow option, scale below the generator floor, bad budget) =="
+    echo "== CLI usage errors (bad flow option, scale below the generator floor, bad budget, value flag without its value) =="
     for bad in "atpg --scale 0.004 --flow bogus" "generate --scale 0.0001" \
-        "schedule --scale 0.004 --budget abc" "schedule --scale 0.004 --budget -1"; do
+        "schedule --scale 0.004 --budget abc" "schedule --scale 0.004 --budget -1" \
+        "generate --scale" "atpg --scale 0.004 --stil"; do
         code=0
         # shellcheck disable=SC2086  # word-split the argument list on purpose
         ./target/release/scap $bad >/dev/null 2>&1 || code=$?
@@ -59,7 +60,7 @@ if [ "$fast" -eq 0 ]; then
             exit 1
         fi
     done
-    echo "bad --flow, sub-floor --scale and bad --budget exit 2."
+    echo "bad --flow, sub-floor --scale, bad --budget and valueless --scale / --stil exit 2."
 
     echo "== sta smoke (derated slack analysis, sta.* counters engaged) =="
     sta_out=$(./target/release/scap sta --scale 0.004 --derate --metrics)
