@@ -61,11 +61,6 @@ pub struct AtpgConfig {
     pub backtrack_limit: u32,
     /// CDCL conflict budget per SAT solve (`sat`/`hybrid` engines).
     pub sat_conflict_limit: u64,
-    /// Consecutive failed secondary-merge attempts before a pattern is
-    /// closed (the greedy compaction cut-off).
-    pub secondary_fail_limit: u32,
-    /// Hard cap on secondary targets examined per pattern.
-    pub secondary_scan_window: usize,
     /// RNG seed (random fill).
     pub seed: u64,
     /// Safety cap on generated patterns.
@@ -80,8 +75,6 @@ impl Default for AtpgConfig {
             engine: EngineKind::Podem,
             backtrack_limit: 100,
             sat_conflict_limit: 20_000,
-            secondary_fail_limit: 8,
-            secondary_scan_window: 2000,
             seed: 0xC0FFEE,
             max_patterns: 100_000,
         }
@@ -160,12 +153,7 @@ impl AtpgRun {
     /// raises this number: every abort it proves untestable moves from
     /// the denominator's dead weight into the `Untestable` bucket.
     pub fn test_coverage(&self) -> f64 {
-        let total = self.status.len();
-        let testable = total - self.num_untestable();
-        if testable == 0 {
-            return 0.0;
-        }
-        self.num_detected() as f64 / testable as f64
+        test_coverage(&self.status)
     }
 
     /// Fault coverage: `detected / total`, over every fault in the
@@ -176,6 +164,17 @@ impl AtpgRun {
         }
         self.num_detected() as f64 / self.status.len() as f64
     }
+}
+
+/// Test coverage of a status vector: `detected / (total − untestable)`
+/// (see [`AtpgRun::test_coverage`]); 0 when no fault is testable.
+pub fn test_coverage(status: &[FaultStatus]) -> f64 {
+    let count = |kind| status.iter().filter(|&&s| s == kind).count();
+    let testable = status.len() - count(FaultStatus::Untestable);
+    if testable == 0 {
+        return 0.0;
+    }
+    count(FaultStatus::Detected) as f64 / testable as f64
 }
 
 /// Drives [`Podem`] (and optionally [`SatAtpg`]) over a fault list.
@@ -265,6 +264,11 @@ impl<'a> Generator<'a> {
         // (they burn the full budget and nearly always abort again).
         let mut secondary_aborts: Vec<u8> = vec![0; list.len()];
         const SECONDARY_ABORT_CAP: u8 = 2;
+        // Greedy compaction cut-offs: a pattern closes after this many
+        // consecutive failed merge attempts, or after this many secondary
+        // targets were examined.
+        const SECONDARY_FAIL_LIMIT: u32 = 8;
+        const SECONDARY_SCAN_WINDOW: usize = 2000;
         for (pos, &idx) in order.iter().enumerate() {
             if patterns.len() >= self.config.max_patterns {
                 break;
@@ -327,9 +331,7 @@ impl<'a> Generator<'a> {
             let mut scanned = 0usize;
             for &jdx in &order[pos + 1..] {
                 let f2 = list[jdx];
-                if fails >= self.config.secondary_fail_limit
-                    || scanned >= self.config.secondary_scan_window
-                {
+                if fails >= SECONDARY_FAIL_LIMIT || scanned >= SECONDARY_SCAN_WINDOW {
                     break;
                 }
                 if status[jdx] != FaultStatus::Undetected {

@@ -39,5 +39,5 @@ mod generator;
 mod sat_engine;
 
 pub use engine::{Podem, PodemOutcome, PodemScratch};
-pub use generator::{AtpgConfig, AtpgRun, EngineKind, FaultStatus, Generator};
+pub use generator::{test_coverage, AtpgConfig, AtpgRun, EngineKind, FaultStatus, Generator};
 pub use sat_engine::{SatAtpg, SatOutcome};

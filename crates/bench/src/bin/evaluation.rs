@@ -8,11 +8,14 @@
 //! design scale (default 0.02 ≈ 460 flops; the paper's chip is scale 1.0).
 //! The output of this binary is the source of `EXPERIMENTS.md`.
 //!
+//! Each flow runs once and each pattern set is power-profiled once; every
+//! table, figure and ablation after the flows reads those results.
+//!
 //! Besides the human-readable report, the run writes
 //! `BENCH_evaluation.json` (override the path with `SCAP_BENCH_JSON`):
-//! per-stage wall-clock in milliseconds **and the counters that advanced
-//! during the stage** (grid solves, fault-sim detections,
-//! patterns screened, …), the requested and *effective*
+//! per-stage wall-clock in milliseconds **and the counters and spans that
+//! advanced during the stage** (grid solves, fault-sim detections,
+//! patterns screened, PODEM search time, …), the requested and *effective*
 //! worker-thread counts and the design scale, so serial-vs-parallel
 //! comparisons are machine-checkable and hot stages are attributable to
 //! actual work rather than guessed at.
@@ -21,24 +24,29 @@
 //! `/v1/profile` burst over eight shard keys: `serve_profile_1p`, one
 //! in-process `scap serve` whose caches hold all eight keys, and
 //! `cluster_profile_{2,4}w`, real `scap-cluster-worker` processes
-//! behind the rendezvous-routed coordinator. Their `requests_per_sec`
-//! fields are what `scripts/check.sh` holds the fleets against: the
-//! cluster exists for crash isolation, and the gate bounds what that
-//! isolation costs next to the single process.
+//! behind the rendezvous-routed coordinator. Each burst follows a warm
+//! pass that fills the caches, timed as its own stage
+//! (`serve_warm_1p`, `cluster_warm_{2,4}w`), so the stages account for
+//! the whole run. The bursts' `requests_per_sec` fields are what
+//! `scripts/check.sh` holds the fleets against: the cluster exists for
+//! crash isolation, and the gate bounds what that isolation costs next
+//! to the single process.
 
 use scap::{ablation, experiments, flows, CaseStudy, PatternAnalyzer};
 use scap_cluster::{ClusterConfig, Coordinator, Ring};
+use scap_obs::SpanSnapshot;
 use scap_serve::{loadgen, ServeConfig, Server};
 use std::net::SocketAddr;
 use std::time::Instant;
 
-/// One timed pipeline stage: wall-clock plus the counter activity it
-/// caused (deltas of the process-wide `scap-obs` registry across the
-/// stage; zero deltas omitted).
+/// One timed pipeline stage: wall-clock plus the counter and span
+/// activity it caused (deltas of the process-wide `scap-obs` registry
+/// across the stage; zero deltas omitted).
 struct Stage {
     name: &'static str,
     ms: f64,
     metrics: Vec<(&'static str, u64)>,
+    spans: Vec<(&'static str, SpanSnapshot)>,
     /// Fault-simulation throughput over the stage (launch/detect checks
     /// per wall-clock second), when the stage ran any.
     checks_per_sec: Option<f64>,
@@ -58,13 +66,16 @@ impl StageClock {
         StageClock { stages: Vec::new() }
     }
 
-    /// Runs `f`, recording its wall-clock and counter deltas under `name`.
+    /// Runs `f`, recording its wall-clock and counter and span deltas
+    /// under `name`.
     fn time<T>(&mut self, name: &'static str, f: impl FnOnce() -> T) -> T {
         let before = scap_obs::snapshot();
         let t = Instant::now();
         let out = f();
         let ms = t.elapsed().as_secs_f64() * 1e3;
-        let metrics = scap_obs::snapshot().counter_deltas(&before);
+        let after = scap_obs::snapshot();
+        let metrics = after.counter_deltas(&before);
+        let spans = after.span_deltas(&before);
         let checks_per_sec = metrics
             .iter()
             .find(|(n, _)| *n == "sim.fault_sim_checks")
@@ -74,6 +85,7 @@ impl StageClock {
             name,
             ms,
             metrics,
+            spans,
             checks_per_sec,
             requests_per_sec: None,
         });
@@ -93,7 +105,8 @@ impl StageClock {
     /// workspace's shared writer ([`scap_obs::json`]) so escaping and
     /// non-finite-float handling (NaN/∞ → `null`) live in one place.
     ///
-    /// Per-stage `"metrics"` hold the *nonzero* counter deltas; the
+    /// Per-stage `"metrics"` hold the *nonzero* counter deltas and
+    /// `"spans"` the spans that completed in the stage (count and ms); the
     /// `"totals"` object lists every registered metric with its final
     /// cumulative value (zeros included), so the full instrumentation
     /// surface — counters whose call site ran but never advanced too —
@@ -113,6 +126,13 @@ impl StageClock {
             for &(metric, delta) in &stage.metrics {
                 metrics.u64(metric, delta);
             }
+            let mut spans = Obj::new();
+            for &(span, delta) in &stage.spans {
+                let mut o = Obj::new();
+                o.u64("count", delta.count)
+                    .raw("ms", &f64_token_fixed(delta.total_ns as f64 / 1e6, 3));
+                spans.raw(span, &o.finish());
+            }
             let mut o = Obj::new();
             o.str("name", stage.name)
                 .raw("ms", &f64_token_fixed(stage.ms, 3));
@@ -122,7 +142,8 @@ impl StageClock {
             if let Some(rps) = stage.requests_per_sec {
                 o.raw("requests_per_sec", &f64_token_fixed(rps, 2));
             }
-            o.raw("metrics", &metrics.finish());
+            o.raw("metrics", &metrics.finish())
+                .raw("spans", &spans.finish());
             stages.raw(&o.finish());
         }
         let mut tot = Obj::new();
@@ -200,16 +221,18 @@ fn balanced_cluster_seeds() -> Vec<u64> {
     seeds
 }
 
-/// Warms every shard key once against `addr` (untimed), then times a
-/// rotating burst over the keys as stage `name`. Returns the burst's
-/// requests per second.
+/// Warms every shard key once against `addr` as stage `warm_name`, then
+/// times a rotating burst over the keys as stage `name`. Returns the
+/// burst's requests per second.
 fn profile_burst(
     clock: &mut StageClock,
-    name: &'static str,
+    (warm_name, name): (&'static str, &'static str),
     addr: SocketAddr,
     targets: &[(String, String)],
 ) -> f64 {
-    let warm = loadgen::burst_targets(addr, "POST", targets, targets.len(), 1);
+    let warm = clock.time(warm_name, || {
+        loadgen::burst_targets(addr, "POST", targets, targets.len(), 1)
+    });
     assert_eq!(warm.transport_errors, 0, "{name}: warm pass lost requests");
     assert_eq!(
         warm.count(200),
@@ -247,7 +270,7 @@ fn serve_stage(clock: &mut StageClock, targets: &[(String, String)]) -> f64 {
     let addr = server.local_addr();
     let shutdown = server.shutdown_handle();
     let join = std::thread::spawn(move || server.run().expect("server run"));
-    let rps = profile_burst(clock, "serve_profile_1p", addr, targets);
+    let rps = profile_burst(clock, ("serve_warm_1p", "serve_profile_1p"), addr, targets);
     shutdown.signal();
     join.join().expect("server thread panicked");
     rps
@@ -257,7 +280,7 @@ fn serve_stage(clock: &mut StageClock, targets: &[(String, String)]) -> f64 {
 /// and runs the same warm pass and burst as [`serve_stage`].
 fn cluster_stage(
     clock: &mut StageClock,
-    name: &'static str,
+    names: (&'static str, &'static str),
     worker_bin: &std::path::Path,
     workers: usize,
     targets: &[(String, String)],
@@ -286,7 +309,7 @@ fn cluster_stage(
     let addr = coordinator.local_addr();
     let control = coordinator.controller();
     let join = std::thread::spawn(move || coordinator.run().expect("coordinator run"));
-    let rps = profile_burst(clock, name, addr, targets);
+    let rps = profile_burst(clock, names, addr, targets);
     control.shutdown();
     join.join().expect("coordinator thread panicked");
     rps
@@ -316,8 +339,11 @@ fn serving_tier(clock: &mut StageClock) {
         );
         return;
     };
-    for (name, workers) in [("cluster_profile_2w", 2usize), ("cluster_profile_4w", 4)] {
-        let rps = cluster_stage(clock, name, &worker_bin, workers, &targets);
+    for (names, workers) in [
+        (("cluster_warm_2w", "cluster_profile_2w"), 2usize),
+        (("cluster_warm_4w", "cluster_profile_4w"), 4),
+    ] {
+        let rps = cluster_stage(clock, names, &worker_bin, workers, &targets);
         println!(
             "  {workers} workers (caches {WORKER_CACHE_CAP} each): {rps:>8.2} req/s  \
              ({:.2}x the single process)",
@@ -364,19 +390,24 @@ fn main() {
     );
     let noise_aware = clock.time("flow_noise_aware", || flows::noise_aware(&study));
 
-    // Table 4.
-    let t4 = clock.time("table4_cap_scap", || {
-        experiments::table4(&study, &conventional)
-    });
-    println!("\n{}", experiments::render_table4(&t4));
-
-    // Figures 2 & 6 (whole-set SCAP profiles — the parallel_map hot loop).
-    let f2 = clock.time("fig2_scap_profile", || {
-        experiments::fig2(&study, &conventional)
+    // Figures 2 & 6: one analyzer, and one SCAP profile per pattern set
+    // (the parallel_map hot loop). Table 4, Figures 3 and 7 and the
+    // ablations read these.
+    let (analyzer, conventional_profile, f2) = clock.time("fig2_scap_profile", || {
+        let analyzer = PatternAnalyzer::new(&study);
+        let profile = analyzer.power_profile(&conventional.patterns);
+        let series = experiments::scap_series(&profile, b5, thr);
+        (analyzer, profile, series)
     });
     let f6 = clock.time("fig6_scap_profile", || {
-        experiments::fig6(&study, &noise_aware)
+        experiments::scap_series(&analyzer.power_profile(&noise_aware.patterns), b5, thr)
     });
+
+    // Table 4.
+    let t4 = clock.time("table4_cap_scap", || {
+        experiments::table4(&study, &analyzer, &conventional, &conventional_profile)
+    });
+    println!("\n{}", experiments::render_table4(&t4));
     println!(
         "{}",
         experiments::render_scap_series("Figure 2 (conventional B5 SCAP)", &f2)
@@ -390,14 +421,15 @@ fn main() {
     }
 
     // Figure 3 (two dynamic IR-drop solves).
-    let f3 = clock.time("fig3_irdrop", || experiments::fig3(&study, &conventional));
+    let f3 = clock.time("fig3_irdrop", || {
+        experiments::fig3(&analyzer, &conventional, &f2)
+    });
     println!("\n{}", experiments::render_fig3(&study, &f3));
 
     // Figure 4.
     println!("{}", experiments::render_fig4(&conventional, &noise_aware));
 
     // Figure 5 pipeline smoke: one trace through the SCAP calculator.
-    let analyzer = PatternAnalyzer::new(&study);
     let trace = analyzer.trace(&conventional.patterns.filled[0]);
     println!(
         "Figure 5 pipeline: pattern 0 -> {} toggles, STW {:.2} ns, chip SCAP {:.1} mW\n",
@@ -408,7 +440,7 @@ fn main() {
 
     // Figure 7.
     let f7 = clock.time("fig7_delay_scaling", || {
-        experiments::fig7(&study, &noise_aware)
+        experiments::fig7(&analyzer, &noise_aware, &f6)
     });
     println!("{}", experiments::render_fig7(&f7));
 
@@ -507,11 +539,11 @@ fn main() {
 
     // Ablations.
     let rows = clock.time("ablation_fill_matrix", || {
-        ablation::staged_fill_matrix(&study)
+        ablation::staged_fill_matrix(&study, &analyzer, (&conventional, &f2), (&noise_aware, &f6))
     });
     println!("{}", ablation::render_matrix(&rows));
     let sweep = clock.time("ablation_threshold_sweep", || {
-        ablation::threshold_sensitivity(&study, &conventional, &[0.25, 0.5, 1.0, 2.0, 4.0])
+        ablation::threshold_sensitivity(&f2, &[0.25, 0.5, 1.0, 2.0, 4.0])
     });
     println!("threshold sensitivity (factor -> conventional patterns above):");
     for (f, above) in &sweep {
@@ -522,29 +554,26 @@ fn main() {
     // leave no fault Aborted-and-unproven — every PODEM abort either
     // gets a SAT-found test or an UNSAT untestability proof — and its
     // test coverage may only improve on PODEM's (reclassifying proven
-    // redundancies shrinks the denominator).
+    // redundancies shrinks the denominator). The PODEM row is the
+    // conventional flow: the same generator over the same full fault
+    // list, fill and seed; the deep conflict budget below is the only
+    // difference, and a PODEM-only generator builds no SAT engine.
     println!(
         "\n[{}s] running PODEM-vs-hybrid engine comparison …",
         t0.elapsed().as_secs()
     );
     let before_sat = scap_obs::snapshot();
-    let (podem_run, hybrid_run) = clock.time("engine_comparison", || {
+    let hybrid_run = clock.time("engine_comparison", || {
         use scap::dft::FillPolicy;
-        use scap::sim::FaultList;
         use scap::tgen::EngineKind;
-        let n = &study.design.netlist;
-        let clka = study.clka();
-        let faults = FaultList::full(n);
-        let run = |engine| {
-            // A deep conflict budget: at evaluation scale every abort
-            // must end in a definite verdict, not an Unknown timeout.
-            let config = scap::tgen::AtpgConfig {
-                sat_conflict_limit: 2_000_000,
-                ..flows::flow_atpg_config_with_engine(FillPolicy::Random, engine)
-            };
-            scap::tgen::Generator::new(n, clka, config).run(&faults)
+        // A deep conflict budget: at evaluation scale every abort must
+        // end in a definite verdict, not an Unknown timeout.
+        let config = scap::tgen::AtpgConfig {
+            sat_conflict_limit: 2_000_000,
+            ..flows::flow_atpg_config_with_engine(FillPolicy::Random, EngineKind::Hybrid)
         };
-        (run(EngineKind::Podem), run(EngineKind::Hybrid))
+        scap::tgen::Generator::new(&study.design.netlist, study.clka(), config)
+            .run(&conventional.faults)
     });
     let sat_delta = |name| {
         scap_obs::snapshot()
@@ -554,13 +583,17 @@ fn main() {
     };
     println!("Engine comparison (full fault list, random fill):");
     println!("  engine   patterns   test cov   aborted   untestable");
-    for (label, run) in [("podem", &podem_run), ("hybrid", &hybrid_run)] {
+    for (label, patterns, status) in [
+        ("podem", conventional.patterns.len(), &conventional.status),
+        ("hybrid", hybrid_run.patterns.len(), &hybrid_run.status),
+    ] {
+        use scap::tgen::FaultStatus;
+        let count = |kind| status.iter().filter(|&&s| s == kind).count();
         println!(
-            "  {label:<8} {:>8}   {:>7.2}%   {:>7}   {:>10}",
-            run.patterns.len(),
-            run.test_coverage() * 100.0,
-            run.num_aborted(),
-            run.num_untestable(),
+            "  {label:<8} {patterns:>8}   {:>7.2}%   {:>7}   {:>10}",
+            scap::tgen::test_coverage(status) * 100.0,
+            count(FaultStatus::Aborted),
+            count(FaultStatus::Untestable),
         );
     }
     println!(

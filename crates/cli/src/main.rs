@@ -20,7 +20,7 @@
 //! identically. Parse errors return `ExitCode::from(2)` (destructors
 //! run; nothing calls `process::exit`).
 
-use scap::{ablation, compact_patterns, experiments, schedule, CaseStudy};
+use scap::{ablation, compact_patterns, experiments, schedule, CaseStudy, PatternAnalyzer};
 use scap_serve::flow::FlowSpec;
 use scap_serve::params::Args;
 use std::process::ExitCode;
@@ -182,12 +182,13 @@ fn profile(args: &Args) -> ExitCode {
         eprintln!("error: no screening threshold for block 'B5'");
         return ExitCode::FAILURE;
     };
-    let series = experiments::scap_series(&study, &flow, b5, threshold);
+    let profile = PatternAnalyzer::new(&study).power_profile(&flow.patterns);
+    let series = experiments::scap_series(&profile, b5, threshold);
     println!(
         "{}",
         experiments::render_scap_series("B5 SCAP profile", &series)
     );
-    let sweep = ablation::threshold_sensitivity(&study, &flow, &[0.5, 1.0, 2.0]);
+    let sweep = ablation::threshold_sensitivity(&series, &[0.5, 1.0, 2.0]);
     for (f, above) in sweep {
         println!("threshold x{f}: {above} patterns above");
     }

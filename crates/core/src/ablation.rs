@@ -7,8 +7,9 @@
 //! trade-off the paper discusses in §2.2 ("the lower the threshold … the
 //! greater number of delay test patterns").
 
+use crate::experiments::{self, ScapSeries};
 use crate::flows::{self, FlowResult};
-use crate::{experiments, CaseStudy};
+use crate::{CaseStudy, PatternAnalyzer};
 use scap_dft::FillPolicy;
 
 /// One row of the staged/fill ablation.
@@ -26,12 +27,17 @@ pub struct AblationRow {
     pub mean_scap_mw: f64,
 }
 
-fn measure(study: &CaseStudy, label: &str, flow: &FlowResult) -> AblationRow {
-    let b5 = study.design.block_named("B5").expect("B5 exists");
-    let threshold = experiments::scap_thresholds(study)[b5.index()];
-    let series = experiments::scap_series(study, flow, b5, threshold);
+/// The row of a flow and its series, labelled from the flow itself:
+/// `staged` when it ran more than one step, else `flat`, then its fill.
+fn row(flow: &FlowResult, series: &ScapSeries) -> AblationRow {
+    let staging = if flow.steps.len() > 1 {
+        "staged"
+    } else {
+        "flat"
+    };
+    let fill = flow.patterns.fill.expect("flows record their fill");
     AblationRow {
-        label: label.to_owned(),
+        label: format!("{staging}/{fill}"),
         patterns: flow.patterns.len(),
         fault_coverage: flow.fault_coverage(),
         fraction_above: series.fraction_above(),
@@ -46,40 +52,47 @@ fn measure(study: &CaseStudy, label: &str, flow: &FlowResult) -> AblationRow {
 /// mechanisms are needed: staging without fill-0 still randomizes the
 /// quiet blocks; fill-0 without staging still targets (and wakes) every
 /// block at once.
-pub fn staged_fill_matrix(study: &CaseStudy) -> Vec<AblationRow> {
-    let stages = flows::paper_stages(study);
-    let mut rows = Vec::new();
-    for (staged, stage_label) in [(false, "flat"), (true, "staged")] {
-        for fill in [FillPolicy::Random, FillPolicy::Zero] {
-            let config = flows::flow_atpg_config(fill);
-            let flow = if staged {
-                flows::noise_aware_with(study, config, &stages)
-            } else {
-                flows::conventional_with(study, config)
-            };
-            scap_obs::counter!("ablation.flows_run").incr();
-            rows.push(measure(study, &format!("{stage_label}/{fill}"), &flow));
-        }
-    }
-    rows
+///
+/// The two paper flows come in with their series; only the off-diagonal
+/// corners are run here, and screened in the block and at the threshold
+/// of `conventional`'s series.
+pub fn staged_fill_matrix(
+    study: &CaseStudy,
+    analyzer: &PatternAnalyzer,
+    conventional: (&FlowResult, &ScapSeries),
+    noise_aware: (&FlowResult, &ScapSeries),
+) -> Vec<AblationRow> {
+    let (block, threshold) = (conventional.1.block, conventional.1.threshold_mw);
+    let measure = |flow: FlowResult| {
+        scap_obs::counter!("ablation.flows_run").incr();
+        let profile = analyzer.power_profile(&flow.patterns);
+        row(&flow, &experiments::scap_series(&profile, block, threshold))
+    };
+    let flat_zero = measure(flows::conventional_with(
+        study,
+        flows::flow_atpg_config(FillPolicy::Zero),
+    ));
+    let staged_random = measure(flows::noise_aware_with(
+        study,
+        flows::flow_atpg_config(FillPolicy::Random),
+        &flows::paper_stages(study),
+    ));
+    vec![
+        row(conventional.0, conventional.1),
+        flat_zero,
+        staged_random,
+        row(noise_aware.0, noise_aware.1),
+    ]
 }
 
-/// Sweeps the screening threshold by multiplying the statistical Case-2
-/// value by each factor, returning `(factor, patterns above)` for an
-/// existing flow.
-pub fn threshold_sensitivity(
-    study: &CaseStudy,
-    flow: &FlowResult,
-    factors: &[f64],
-) -> Vec<(f64, usize)> {
-    let b5 = study.design.block_named("B5").expect("B5 exists");
-    let base = experiments::scap_thresholds(study)[b5.index()];
-    let series = experiments::scap_series(study, flow, b5, base);
+/// Sweeps the screening threshold of an existing series by multiplying
+/// it by each factor, returning `(factor, patterns above)`.
+pub fn threshold_sensitivity(series: &ScapSeries, factors: &[f64]) -> Vec<(f64, usize)> {
     scap_obs::counter!("ablation.threshold_factors").add(factors.len() as u64);
     factors
         .iter()
         .map(|&f| {
-            let t = base * f;
+            let t = series.threshold_mw * f;
             let above = series.scap_mw.iter().filter(|&&s| s > t).count();
             (f, above)
         })
@@ -109,18 +122,35 @@ pub fn render_matrix(rows: &[AblationRow]) -> String {
 mod tests {
     use super::*;
 
+    /// A flow's B5 series at B5's screening threshold.
+    fn b5_series(study: &CaseStudy, analyzer: &PatternAnalyzer, flow: &FlowResult) -> ScapSeries {
+        let b5 = study.design.block_named("B5").expect("B5 exists");
+        let threshold = experiments::scap_thresholds(study)[b5.index()];
+        experiments::scap_series(&analyzer.power_profile(&flow.patterns), b5, threshold)
+    }
+
     #[test]
     fn matrix_shows_fill0_reduces_scap() {
-        let (study, _, _) = crate::flows::tests::fixture();
-        let rows = staged_fill_matrix(study);
-        assert_eq!(rows.len(), 4);
-        let get = |label: &str| {
-            rows.iter()
-                .find(|r| r.label.starts_with(label))
-                .expect("row exists")
-        };
-        let flat_random = get("flat/random");
-        let staged_zero = get("staged/fill-0");
+        let (study, conv, na) = crate::flows::tests::fixture();
+        let analyzer = PatternAnalyzer::new(study);
+        let conv_series = b5_series(study, &analyzer, conv);
+        let na_series = b5_series(study, &analyzer, na);
+        let rows = staged_fill_matrix(study, &analyzer, (conv, &conv_series), (na, &na_series));
+        // Every label comes from the flow the row measures.
+        let labels: Vec<&str> = rows.iter().map(|r| r.label.as_str()).collect();
+        assert_eq!(
+            labels,
+            [
+                "flat/random-fill",
+                "flat/fill-0",
+                "staged/random-fill",
+                "staged/fill-0"
+            ]
+        );
+        let flat_random = &rows[0];
+        let staged_zero = &rows[3];
+        assert_eq!(flat_random.patterns, conv.patterns.len());
+        assert_eq!(staged_zero.patterns, na.patterns.len());
         // The paper's corner beats the conventional corner on noise.
         assert!(
             staged_zero.mean_scap_mw < flat_random.mean_scap_mw,
@@ -143,7 +173,9 @@ mod tests {
     #[test]
     fn threshold_sweep_is_monotone() {
         let (study, conv, _) = crate::flows::tests::fixture();
-        let sweep = threshold_sensitivity(study, conv, &[0.25, 0.5, 1.0, 2.0, 4.0]);
+        let series = b5_series(study, &PatternAnalyzer::new(study), conv);
+        let sweep = threshold_sensitivity(&series, &[0.25, 0.5, 1.0, 2.0, 4.0]);
+        assert_eq!(sweep[2].1, series.above.len(), "factor 1 is the series");
         for w in sweep.windows(2) {
             assert!(
                 w[0].1 >= w[1].1,

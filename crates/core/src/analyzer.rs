@@ -308,11 +308,6 @@ impl<'a> PatternAnalyzer<'a> {
         )
     }
 
-    /// Endpoint delays of a pattern under nominal timing.
-    pub fn endpoint_delays(&self, filled: &FilledPattern) -> EndpointDelayReport {
-        self.endpoint_delays_with(filled, &self.study.annotation, &self.study.arrivals)
-    }
-
     /// Endpoint delays under explicit delays/arrivals.
     pub fn endpoint_delays_with(
         &self,

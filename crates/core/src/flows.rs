@@ -28,6 +28,11 @@ pub struct FlowResult {
     pub grade: GradeResult,
     /// The fault universe used for grading.
     pub faults: FaultList,
+    /// Final ATPG verdict per fault of `faults`: the run's for the
+    /// conventional flow; for the noise-aware flow each step's verdicts
+    /// on its own members, `Detected` wherever `grade` records a first
+    /// detection.
+    pub status: Vec<FaultStatus>,
 }
 
 impl FlowResult {
@@ -77,6 +82,7 @@ pub fn conventional_with(study: &CaseStudy, config: AtpgConfig) -> FlowResult {
         grade: GradeResult::new(run.first_detection, run.patterns.len()),
         patterns: run.patterns,
         faults,
+        status: run.status,
     }
 }
 
@@ -124,6 +130,7 @@ pub fn noise_aware_with(
         ..PatternSet::new()
     };
     let mut steps = Vec::new();
+    let mut status = vec![FaultStatus::Undetected; full.faults().len()];
     for (label, blocks) in stages {
         steps.push((label.clone(), patterns.len()));
         let members: Vec<usize> = full
@@ -151,13 +158,25 @@ pub fn noise_aware_with(
         scap_obs::counter!("flow.patterns_generated").add(run.patterns.len() as u64);
         grade_into(&mut grader, patterns.len(), &run.patterns);
         patterns.extend(run.patterns);
+        for (&i, &s) in members.iter().zip(&run.status) {
+            status[i] = s;
+        }
     }
     let grade = GradeResult::of(&grader, &full, patterns.len());
+    // Later steps' patterns may detect an earlier step's aborted fault,
+    // and any step's may detect a fault outside every step's blocks: the
+    // grade of the whole set has the last word.
+    for (s, first) in status.iter_mut().zip(&grade.first_detection) {
+        if first.is_some() {
+            *s = FaultStatus::Detected;
+        }
+    }
     FlowResult {
         patterns,
         steps,
         grade,
         faults: full,
+        status,
     }
 }
 
@@ -176,6 +195,89 @@ pub(crate) mod tests {
             let na = noise_aware(&s);
             (s, conv, na)
         })
+    }
+
+    /// The evaluation's engine table prints the conventional flow as its
+    /// PODEM row. A fresh generator with the table's PODEM configuration
+    /// (its deep SAT budget, which PODEM never reads) reproduces the
+    /// flow's patterns and verdicts.
+    #[test]
+    fn engine_table_podem_run_is_the_conventional_flow() {
+        let (s, conv, _) = fixture();
+        let config = AtpgConfig {
+            sat_conflict_limit: 2_000_000,
+            ..flow_atpg_config_with_engine(FillPolicy::Random, EngineKind::Podem)
+        };
+        let n = &s.design.netlist;
+        let run = Generator::new(n, s.clka(), config).run(&FaultList::full(n));
+        assert_eq!(run.patterns.filled, conv.patterns.filled);
+        assert_eq!(run.status, conv.status);
+        assert_eq!(scap_tgen::test_coverage(&conv.status), run.test_coverage());
+    }
+
+    #[test]
+    fn status_is_detected_exactly_where_the_grade_detects() {
+        let (_, conv, na) = fixture();
+        for flow in [conv, na] {
+            assert_eq!(flow.status.len(), flow.faults.faults().len());
+            for (i, (s, first)) in flow
+                .status
+                .iter()
+                .zip(&flow.grade.first_detection)
+                .enumerate()
+            {
+                assert_eq!(
+                    *s == FaultStatus::Detected,
+                    first.is_some(),
+                    "fault {i}: {s:?}, first detection {first:?}"
+                );
+            }
+        }
+    }
+
+    /// No pattern of either set detects a fault that a run proved
+    /// untestable, so the noise-aware status never lets the grade
+    /// overrule a proof. Each noise-aware step is re-run with a fresh
+    /// generator from its starting point in the grade, for the verdicts
+    /// it reached before later steps' detections were stitched in.
+    #[test]
+    fn no_set_detects_a_fault_proven_untestable() {
+        let (s, conv, na) = fixture();
+        let n = &s.design.netlist;
+        let untestable = |status: &[FaultStatus]| -> Vec<usize> {
+            (0..status.len())
+                .filter(|&i| status[i] == FaultStatus::Untestable)
+                .collect()
+        };
+        let mut proven = untestable(&conv.status);
+        let generator = Generator::new(n, s.clka(), flow_atpg_config(FillPolicy::Zero));
+        let list = na.faults.faults();
+        for (k, (_, blocks)) in paper_stages(s).iter().enumerate() {
+            let start = na.steps[k].1;
+            let end = na.steps.get(k + 1).map_or(na.patterns.len(), |step| step.1);
+            let members: Vec<usize> = (0..list.len())
+                .filter(|&i| list[i].block(n).is_some_and(|b| blocks.contains(&b)))
+                .collect();
+            let sub = FaultList::from_faults(members.iter().map(|&i| list[i]).collect(), 0);
+            let initial = members
+                .iter()
+                .map(|&i| match na.grade.first_detection[i] {
+                    Some(p) if p < start => FaultStatus::Detected,
+                    _ => FaultStatus::Undetected,
+                })
+                .collect();
+            let run = generator.run_with_status(&sub, initial);
+            assert_eq!(run.patterns.filled[..], na.patterns.filled[start..end]);
+            proven.extend(untestable(&run.status).into_iter().map(|k| members[k]));
+        }
+        assert!(
+            !proven.is_empty(),
+            "the fixture proves some fault untestable"
+        );
+        for i in proven {
+            assert_eq!(conv.grade.first_detection[i], None, "fault {i}");
+            assert_eq!(na.grade.first_detection[i], None, "fault {i}");
+        }
     }
 
     #[test]

@@ -95,9 +95,10 @@ pub fn serial_length(tests: &[BlockTest]) -> usize {
     tests.iter().map(|t| t.patterns).sum()
 }
 
-/// Derives per-block test descriptors from a flow: pattern counts from
-/// the staged steps (or uniform for a flat flow) and power from the mean
-/// block SCAP over the flow's patterns.
+/// Derives per-block test descriptors from a flow: each block's pattern
+/// count is its share of the design's flops times the whole set's
+/// pattern count (for a staged flow as for a flat one), and its power is
+/// the mean block SCAP over the flow's patterns.
 pub fn block_tests_from_flow(study: &CaseStudy, flow: &crate::flows::FlowResult) -> Vec<BlockTest> {
     let analyzer = PatternAnalyzer::new(study);
     let profile = analyzer.power_profile(&flow.patterns);
@@ -109,7 +110,7 @@ pub fn block_tests_from_flow(study: &CaseStudy, flow: &crate::flows::FlowResult)
                 / profile.len().max(1) as f64;
             BlockTest {
                 block,
-                // Per-block pattern demand approximated by fault share.
+                // Per-block pattern demand approximated by flop share.
                 patterns: flow.patterns.len()
                     * study.design.netlist.flops_in_block(block).count().max(1)
                     / study.design.netlist.num_flops().max(1),

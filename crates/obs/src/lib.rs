@@ -32,8 +32,9 @@
 //! # Reading
 //!
 //! [`snapshot`] returns a point-in-time copy of every registered metric,
-//! sorted by name; [`Snapshot::counter_deltas`] subtracts an earlier
-//! snapshot for per-stage attribution (what `evaluation.rs` writes into
+//! sorted by name; [`Snapshot::counter_deltas`] and
+//! [`Snapshot::span_deltas`] subtract an earlier snapshot for per-stage
+//! attribution (what `evaluation.rs` writes into
 //! `BENCH_evaluation.json`); [`render`] formats a snapshot as the
 //! human-readable table behind `scap profile --metrics`.
 //!
@@ -407,7 +408,7 @@ macro_rules! span {
 // ---------------------------------------------------------------------
 
 /// `(count, total_ns)` of one span name at snapshot time.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SpanSnapshot {
     /// Completed span count.
     pub count: u64,
@@ -455,6 +456,30 @@ impl Snapshot {
                 let before = earlier.counter(name).unwrap_or(0);
                 let delta = now.saturating_sub(before);
                 (delta > 0).then_some((name, delta))
+            })
+            .collect()
+    }
+
+    /// Spans that completed since `earlier`, as `(name, delta)` of count
+    /// and total time; spans absent from `earlier` count from zero.
+    /// Spans with no new completion are omitted.
+    pub fn span_deltas(&self, earlier: &Snapshot) -> Vec<(&'static str, SpanSnapshot)> {
+        self.spans
+            .iter()
+            .filter_map(|&(name, now)| {
+                let before = earlier
+                    .spans
+                    .iter()
+                    .find(|(n, _)| *n == name)
+                    .map_or(SpanSnapshot::default(), |&(_, s)| s);
+                let count = now.count.saturating_sub(before.count);
+                (count > 0).then_some((
+                    name,
+                    SpanSnapshot {
+                        count,
+                        total_ns: now.total_ns.saturating_sub(before.total_ns),
+                    },
+                ))
             })
             .collect()
     }
@@ -710,6 +735,9 @@ mod tests {
         assert!(deltas.iter().any(|&(n, d)| n == "test.delta" && d >= 2));
         let (count, _total) = span_stats("test.span").get();
         assert!(count >= 1);
+        let spans = after.span_deltas(&before);
+        assert!(spans.iter().any(|&(n, s)| n == "test.span" && s.count >= 1));
+        assert!(spans.iter().all(|(_, s)| s.count > 0));
         // Snapshot is sorted by name.
         for w in after.counters.windows(2) {
             assert!(w[0].0 <= w[1].0);

@@ -417,7 +417,8 @@ pub fn profile(cache: &DesignCache, p: &ProfileParams) -> Response {
         return Response::error(500, &format!("no screening threshold for '{}'", p.block));
     };
     let flow = p.flow.run(&study);
-    let series = experiments::scap_series(&study, &flow, block, threshold);
+    let profile = PatternAnalyzer::new(&study).power_profile(&flow.patterns);
+    let series = experiments::scap_series(&profile, block, threshold);
     let mut patterns = Arr::new();
     for (i, &mw) in series.scap_mw.iter().enumerate() {
         let mut o = Obj::new();

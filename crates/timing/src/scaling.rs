@@ -9,57 +9,6 @@
 
 use crate::DelayAnnotation;
 
-/// A signoff process/voltage/temperature corner.
-///
-/// Pattern signoff traditionally simulates at the best and worst corners
-/// (paper §3.2); both apply one uniform factor to *every* cell, unlike
-/// the per-instance IR-drop scaling this crate also provides — which is
-/// exactly the paper's criticism of corner-based signoff.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Corner {
-    /// Fast silicon, high voltage, low temperature.
-    Best,
-    /// Nominal.
-    Typical,
-    /// Slow silicon, low voltage, high temperature.
-    Worst,
-}
-
-impl Corner {
-    /// The uniform delay factor of the corner (180 nm-class spread).
-    pub const fn delay_factor(self) -> f64 {
-        match self {
-            Corner::Best => 0.85,
-            Corner::Typical => 1.0,
-            Corner::Worst => 1.25,
-        }
-    }
-}
-
-/// Returns the annotation scaled uniformly to a signoff corner.
-pub fn at_corner(annotation: &DelayAnnotation, corner: Corner) -> DelayAnnotation {
-    let f = corner.delay_factor() - 1.0;
-    // Reuse the per-instance scaler with a uniform pseudo-droop of f/k,
-    // k = 1: scale = 1 + f.
-    let gates = vec![f.max(0.0); annotation.num_gates()];
-    let flops = vec![f.max(0.0); annotation.num_flops()];
-    if f >= 0.0 {
-        scale_annotation(annotation, &gates, &flops, 1.0)
-    } else {
-        // Fast corner: shrink directly.
-        let mut out = annotation.clone();
-        let (rise, fall, ck2q) = out.delays_mut();
-        for v in rise
-            .iter_mut()
-            .chain(fall.iter_mut())
-            .chain(ck2q.iter_mut())
-        {
-            *v *= corner.delay_factor();
-        }
-        out
-    }
-}
-
 /// Returns a new annotation with every gate and flop delay scaled by
 /// `1 + k_volt · ΔV` using per-instance supply droops (in volts).
 ///
@@ -130,21 +79,6 @@ mod tests {
         let n = b.finish().unwrap();
         let ann = DelayAnnotation::unit_wire(&n);
         (n, ann)
-    }
-
-    #[test]
-    fn corners_scale_uniformly() {
-        let (_, a) = ann();
-        let worst = at_corner(&a, Corner::Worst);
-        let best = at_corner(&a, Corner::Best);
-        let typical = at_corner(&a, Corner::Typical);
-        let g = GateId::new(0);
-        assert!((worst.gate_rise_ps(g) - 1.25 * a.gate_rise_ps(g)).abs() < 1e-9);
-        assert!((best.gate_fall_ps(g) - 0.85 * a.gate_fall_ps(g)).abs() < 1e-9);
-        assert_eq!(typical.gate_rise_ps(g), a.gate_rise_ps(g));
-        let f = FlopId::new(0);
-        assert!((worst.flop_clk_to_q_ps(f) - 1.25 * a.flop_clk_to_q_ps(f)).abs() < 1e-9);
-        assert!((best.flop_clk_to_q_ps(f) - 0.85 * a.flop_clk_to_q_ps(f)).abs() < 1e-9);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! cargo run --release --example irdrop_case_study [scale]
 //! ```
 
-use scap::{experiments, flows, CaseStudy};
+use scap::{experiments, flows, CaseStudy, PatternAnalyzer};
 
 fn main() {
     let scale: f64 = std::env::args()
@@ -29,10 +29,14 @@ fn main() {
     // §2.3–2.4: pick a high-activity conventional pattern, compare models.
     println!("running conventional random-fill ATPG …");
     let conventional = flows::conventional(&study);
-    let t4 = experiments::table4(&study, &conventional);
+    let analyzer = PatternAnalyzer::new(&study);
+    let profile = analyzer.power_profile(&conventional.patterns);
+    let t4 = experiments::table4(&study, &analyzer, &conventional, &profile);
     println!("{}", experiments::render_table4(&t4));
 
-    // Figure 3: dynamic IR-drop maps of P1 (hot) and P2 (near threshold).
-    let f3 = experiments::fig3(&study, &conventional);
+    // Figure 3: dynamic IR-drop maps of P1 (hot) and P2 (near threshold),
+    // picked from the set's B5 series (Figure 2).
+    let fig2 = experiments::scap_series(&profile, b5, thresholds[b5.index()]);
+    let f3 = experiments::fig3(&analyzer, &conventional, &fig2);
     println!("{}", experiments::render_fig3(&study, &f3));
 }

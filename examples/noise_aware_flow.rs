@@ -7,7 +7,7 @@
 //! cargo run --release --example noise_aware_flow [scale]
 //! ```
 
-use scap::{experiments, flows, CaseStudy};
+use scap::{experiments, flows, CaseStudy, PatternAnalyzer};
 
 fn main() {
     let scale: f64 = std::env::args()
@@ -30,8 +30,15 @@ fn main() {
         experiments::render_fig4(&conventional, &noise_aware)
     );
 
-    let fig2 = experiments::fig2(&study, &conventional);
-    let fig6 = experiments::fig6(&study, &noise_aware);
+    // One analyzer and one SCAP profile per pattern set, screened in B5.
+    let analyzer = PatternAnalyzer::new(&study);
+    let b5 = study.design.block_named("B5").expect("B5 exists");
+    let threshold = experiments::scap_thresholds(&study)[b5.index()];
+    let series = |flow: &flows::FlowResult| {
+        experiments::scap_series(&analyzer.power_profile(&flow.patterns), b5, threshold)
+    };
+    let fig2 = series(&conventional);
+    let fig6 = series(&noise_aware);
     println!(
         "{}",
         experiments::render_scap_series("Figure 2 (random-fill B5 SCAP)", &fig2)
@@ -46,6 +53,6 @@ fn main() {
         fig6.above.len()
     );
 
-    let fig7 = experiments::fig7(&study, &noise_aware);
+    let fig7 = experiments::fig7(&analyzer, &noise_aware, &fig6);
     println!("{}", experiments::render_fig7(&fig7));
 }

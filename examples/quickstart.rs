@@ -29,9 +29,17 @@ fn main() {
         100.0 * noise_aware.fault_coverage()
     );
 
-    // SCAP screening in the hot block B5.
-    let fig2 = experiments::fig2(&study, &conventional);
-    let fig6 = experiments::fig6(&study, &noise_aware);
+    // SCAP screening in the hot block B5: one profile per pattern set.
+    let analyzer = PatternAnalyzer::new(&study);
+    let b5 = study.design.block_named("B5").expect("B5 exists");
+    let threshold = experiments::scap_thresholds(&study)[b5.index()];
+    let profile = analyzer.power_profile(&conventional.patterns);
+    let fig2 = experiments::scap_series(&profile, b5, threshold);
+    let fig6 = experiments::scap_series(
+        &analyzer.power_profile(&noise_aware.patterns),
+        b5,
+        threshold,
+    );
     println!(
         "{}",
         experiments::render_scap_series("random-fill  B5 SCAP", &fig2)
@@ -42,8 +50,6 @@ fn main() {
     );
 
     // Worst pattern's IR-drop map.
-    let analyzer = PatternAnalyzer::new(&study);
-    let profile = analyzer.power_profile(&conventional.patterns);
     let worst = profile
         .iter()
         .enumerate()

@@ -241,6 +241,17 @@ for c in ("sat.solves", "sat.conflicts", "atpg.reclassified_untestable",
           "cg.solves", "sim.event_runs", "sim.toggle_events"):
     assert totals.get(c, 0) > 0, f"expected {c} > 0 in totals"
 by_name = {s["name"]: s for s in doc["stages"]}
+# The stages account for the whole run: what no stage times (fleet
+# boot and drain, printing) is at most 5 % of it.
+stage_ms = sum(s["ms"] for s in doc["stages"])
+assert stage_ms >= 0.95 * doc["total_ms"], \
+    f"stages sum to {stage_ms:.0f} ms of {doc['total_ms']:.0f} ms total_ms (< 95 %)"
+print(f"stages account for {100 * stage_ms / doc['total_ms']:.2f} % of total_ms")
+# Each flow stage attributes its PODEM search time.
+for name in ("flow_conventional", "flow_noise_aware"):
+    spans = by_name[name]["spans"]
+    assert spans.get("atpg.podem_primary", {}).get("count", 0) > 0, \
+        f"{name} carries no atpg.podem_primary span"
 # The fleets buy crash isolation, not throughput: gate what the
 # isolation costs against one process holding every key in cache.
 FLOOR = 0.15
@@ -251,7 +262,7 @@ for w in (2, 4):
         f"{w}-worker fleet at {rps:.1f} req/s is below {FLOOR}x one process ({solo:.1f})"
     print(f"cluster {w}w: {rps:.1f} req/s = {rps / solo:.2f}x one process ({solo:.1f} req/s)")
 PY
-        echo "BENCH_evaluation.json parses; fault-sim, SAT, STA, event-sim, grid-solve and serving-tier numbers carried."
+        echo "BENCH_evaluation.json parses; stages cover the run; fault-sim, SAT, STA, event-sim, grid-solve, span and serving-tier numbers carried."
     else
         echo "BENCH_evaluation.json not present; skipping."
     fi

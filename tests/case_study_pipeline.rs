@@ -1,7 +1,10 @@
 //! End-to-end pipeline test: every table/figure driver runs on a small
-//! case study and reproduces the paper's qualitative relations.
+//! case study and reproduces the paper's qualitative relations. The
+//! paper's claims are stated here, in one place.
 
-use scap::{experiments, flows, CaseStudy};
+use scap::experiments::{self, ScapSeries};
+use scap::power::PatternPower;
+use scap::{flows, CaseStudy, PatternAnalyzer};
 use std::sync::OnceLock;
 
 fn fixture() -> &'static (CaseStudy, flows::FlowResult, flows::FlowResult) {
@@ -14,10 +17,39 @@ fn fixture() -> &'static (CaseStudy, flows::FlowResult, flows::FlowResult) {
     })
 }
 
+/// What the evaluation computes once per pattern set: one analyzer, the
+/// conventional set's power profile and both sets' B5 series.
+struct Measured {
+    analyzer: PatternAnalyzer<'static>,
+    conventional_profile: Vec<PatternPower>,
+    fig2: ScapSeries,
+    fig6: ScapSeries,
+}
+
+fn measured() -> &'static Measured {
+    static MEASURED: OnceLock<Measured> = OnceLock::new();
+    MEASURED.get_or_init(|| {
+        let (study, conv, na) = fixture();
+        let analyzer = PatternAnalyzer::new(study);
+        let b5 = study.design.block_named("B5").unwrap();
+        let threshold = experiments::scap_thresholds(study)[b5.index()];
+        let conventional_profile = analyzer.power_profile(&conv.patterns);
+        let fig2 = experiments::scap_series(&conventional_profile, b5, threshold);
+        let fig6 = experiments::scap_series(&analyzer.power_profile(&na.patterns), b5, threshold);
+        Measured {
+            analyzer,
+            conventional_profile,
+            fig2,
+            fig6,
+        }
+    })
+}
+
 #[test]
 fn table1_reports_paper_shape() {
     let (study, _, _) = fixture();
     let r = experiments::table1(study);
+    assert!(experiments::render_table1(&r).contains("Clock Domains"));
     assert_eq!(r.clock_domains, 6);
     assert_eq!(r.scan_chains, 16);
     assert!(r.negative_edge_flops >= 1);
@@ -31,7 +63,12 @@ fn table1_reports_paper_shape() {
 fn table3_case2_doubles_power_and_b5_dominates() {
     let (study, _, _) = fixture();
     let t3 = experiments::table3(study);
+    assert!(experiments::render_table3(study, &t3).contains("Chip"));
     let b5 = study.design.block_named("B5").unwrap().index();
+    // Every block's Case-2 power is a positive screening threshold.
+    for t in experiments::scap_thresholds(study) {
+        assert!(t > 0.0, "threshold {t}");
+    }
     for (i, (c1, c2)) in t3.case1.blocks.iter().zip(&t3.case2.blocks).enumerate() {
         assert!(
             (c2.avg_power_mw - 2.0 * c1.avg_power_mw).abs() < 1e-9 * c1.avg_power_mw.max(1.0),
@@ -59,7 +96,8 @@ fn table3_case2_doubles_power_and_b5_dominates() {
 #[test]
 fn table4_scap_exceeds_cap() {
     let (study, conv, _) = fixture();
-    let t4 = experiments::table4(study, conv);
+    let m = measured();
+    let t4 = experiments::table4(study, &m.analyzer, conv, &m.conventional_profile);
     assert!(t4.stw_ps < t4.period_ps);
     // Power and worst drop are both underestimated by the CAP model.
     assert!(t4.scap.0 > t4.cap.0);
@@ -71,9 +109,8 @@ fn table4_scap_exceeds_cap() {
 
 #[test]
 fn fig2_fig6_noise_aware_reduces_scap_violations() {
-    let (study, conv, na) = fixture();
-    let f2 = experiments::fig2(study, conv);
-    let f6 = experiments::fig6(study, na);
+    let (_, _, na) = fixture();
+    let (f2, f6) = (&measured().fig2, &measured().fig6);
     assert!(
         f6.fraction_above() < f2.fraction_above(),
         "noise-aware {:.3} must beat conventional {:.3}",
@@ -95,8 +132,9 @@ fn fig2_fig6_noise_aware_reduces_scap_violations() {
 
 #[test]
 fn fig3_high_scap_pattern_drops_more() {
-    let (study, conv, _) = fixture();
-    let f3 = experiments::fig3(study, conv);
+    let (_, conv, _) = fixture();
+    let m = measured();
+    let f3 = experiments::fig3(&m.analyzer, conv, &m.fig2);
     assert!(f3.p1_map.worst_drop_vdd() >= f3.p2_map.worst_drop_vdd());
     assert!(f3.scap_mw.0 >= f3.scap_mw.1);
 }
@@ -111,8 +149,9 @@ fn fig4_flows_converge_with_more_noise_aware_patterns() {
 
 #[test]
 fn fig7_regions_exist() {
-    let (study, _, na) = fixture();
-    let f7 = experiments::fig7(study, na);
+    let (_, _, na) = fixture();
+    let m = measured();
+    let f7 = experiments::fig7(&m.analyzer, na, &m.fig6);
     let active = f7.endpoints.iter().filter(|(_, n, _)| *n > 0.0).count();
     assert!(active > 0);
     // Region 1: some endpoints slow down under IR-drop.
@@ -127,14 +166,18 @@ fn fig7_regions_exist() {
 #[test]
 fn renders_are_nonempty() {
     let (study, conv, na) = fixture();
+    let m = measured();
     let r = experiments::table1(study);
     assert!(experiments::render_table1(&r).contains("Scan Chains"));
     assert!(experiments::render_table2(&r).contains("clka"));
     let t3 = experiments::table3(study);
     assert!(experiments::render_table3(study, &t3).contains("Case1"));
-    let t4 = experiments::table4(study, conv);
+    let t4 = experiments::table4(study, &m.analyzer, conv, &m.conventional_profile);
     assert!(experiments::render_table4(&t4).contains("SCAP"));
+    assert!(experiments::render_scap_series("Figure 2", &m.fig2).contains("threshold"));
+    let f3 = experiments::fig3(&m.analyzer, conv, &m.fig2);
+    assert!(experiments::render_fig3(study, &f3).contains("P1 worst"));
     assert!(experiments::render_fig4(conv, na).contains("patterns"));
-    let f7 = experiments::fig7(study, na);
+    let f7 = experiments::fig7(&m.analyzer, na, &m.fig6);
     assert!(experiments::render_fig7(&f7).contains("Region"));
 }
