@@ -1,12 +1,15 @@
 //! The pattern-generation loop: primary targeting, greedy dynamic
-//! compaction, fill and PPSFP fault dropping.
+//! compaction, fill and PPSFP fault dropping, with primary searches
+//! optionally speculated on spare threads and committed in order.
 
 use crate::{Podem, PodemOutcome, PodemScratch, SatAtpg, SatOutcome};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use scap_dft::{FillPolicy, PatternBatch, PatternSet, TestPattern};
 use scap_netlist::{ClockId, Netlist};
-use scap_sim::{FaultGrader, FaultList, LaunchMode, TransitionFaultSim};
+use scap_sim::{FaultGrader, FaultList, LaunchMode, TransitionFault, TransitionFaultSim};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Which search engine targets primary faults, and whether aborted
 /// searches get a SAT second opinion.
@@ -189,6 +192,32 @@ pub struct Generator<'a> {
     config: AtpgConfig,
 }
 
+/// How many `order` positions a speculator may run ahead of the
+/// position the targeting loop commits next. A wider window keeps a
+/// speculator busy through a run of long secondary merges, at the price
+/// of more searches for faults that drop simulation detects before the
+/// loop reaches them. On the noise-aware flow at scale 0.05 and two
+/// threads of a 2-vCPU host, windows of 16, 64 and 256 wasted 7 %, 13 %
+/// and 19 % of the
+/// speculated searches and left the loop waiting 1.1, 0.75 and 0.45 s.
+const LOOKAHEAD: usize = 256;
+
+/// A primary search's verdict, as the targeting loop commits it.
+///
+/// Every primary search starts from the unspecified pattern, so the
+/// verdict and the cube are a function of the fault alone: that is what
+/// lets speculator threads compute them ahead of the loop.
+#[derive(Debug)]
+enum Primary {
+    /// A test cube; `rescued` when SAT found it after a PODEM abort.
+    Test { cube: TestPattern, rescued: bool },
+    /// No test exists; `reclassified` when SAT proved it after a PODEM
+    /// abort.
+    Untestable { reclassified: bool },
+    /// No engine settled the fault within its budget.
+    Aborted,
+}
+
 impl<'a> Generator<'a> {
     /// Builds a generator for one clock domain.
     pub fn new(netlist: &'a Netlist, active_clock: ClockId, config: AtpgConfig) -> Self {
@@ -233,10 +262,27 @@ impl<'a> Generator<'a> {
     /// each at most once; faults absent from it are never targeted as
     /// primaries (drop-simulation can still detect them). With the
     /// identity order this is exactly [`Generator::run_with_status`].
+    ///
+    /// The run uses the executor's width ([`scap_exec::Executor::new`]).
+    /// At width T ≥ 2, T − 1 speculator threads run primary searches
+    /// ahead of the targeting loop, which commits their verdicts in
+    /// `order`; the patterns, statuses and first detections are those of
+    /// width 1, where the loop runs alone on the calling thread.
     pub fn run_with_status_in_order(
         &self,
         faults: &FaultList,
-        mut status: Vec<FaultStatus>,
+        status: Vec<FaultStatus>,
+        order: &[usize],
+    ) -> AtpgRun {
+        self.run_at_width(scap_exec::Executor::new().threads(), faults, status, order)
+    }
+
+    /// [`Generator::run_with_status_in_order`] at an explicit width.
+    fn run_at_width(
+        &self,
+        threads: usize,
+        faults: &FaultList,
+        status: Vec<FaultStatus>,
         order: &[usize],
     ) -> AtpgRun {
         assert_eq!(status.len(), faults.faults().len());
@@ -244,6 +290,92 @@ impl<'a> Generator<'a> {
             order.iter().all(|&i| i < status.len()),
             "fault order index out of range"
         );
+        if threads < 2 || order.is_empty() {
+            return self.commit(
+                faults,
+                status,
+                order,
+                |pos, scratch| self.primary(faults.faults()[order[pos]], scratch),
+                |_| {},
+            );
+        }
+        let spec = Speculation::new(&status);
+        std::thread::scope(|scope| {
+            for _ in 1..threads {
+                scope.spawn(|| spec.speculate(self, faults.faults(), order));
+            }
+            // Releases the speculators however the loop ends, unwinding
+            // included, so the scope's join never waits on a blocked one.
+            let _stop = StopOnDrop(&spec);
+            self.commit(
+                faults,
+                status,
+                order,
+                |pos, _| spec.take(pos),
+                |idx| spec.settle(idx),
+            )
+        })
+    }
+
+    /// The primary search for `fault`, from the unspecified pattern:
+    /// PODEM (or SAT under [`EngineKind::Sat`]), then under
+    /// [`EngineKind::Hybrid`] SAT on a PODEM abort.
+    fn primary(&self, fault: TransitionFault, scratch: &mut PodemScratch) -> Primary {
+        let mut cube = TestPattern::unspecified(self.netlist);
+        let sat = || {
+            self.sat
+                .as_ref()
+                .expect("sat engine built for engine=sat|hybrid")
+        };
+        let outcome = match self.config.engine {
+            EngineKind::Podem | EngineKind::Hybrid => {
+                let _span = scap_obs::span!("atpg.podem_primary");
+                self.podem.generate_with_scratch(fault, &mut cube, scratch)
+            }
+            EngineKind::Sat => match sat().generate(fault, &mut cube) {
+                SatOutcome::Test => PodemOutcome::Test,
+                SatOutcome::Untestable => PodemOutcome::Untestable,
+                SatOutcome::Unknown => PodemOutcome::Aborted,
+            },
+        };
+        match outcome {
+            PodemOutcome::Test => Primary::Test {
+                cube,
+                rescued: false,
+            },
+            PodemOutcome::Untestable => Primary::Untestable {
+                reclassified: false,
+            },
+            // A PODEM abort proves nothing. Ask the SAT engine for a
+            // verdict: UNSAT is a proof of untestability (the fault
+            // leaves the coverage denominator), a model is a test PODEM
+            // missed.
+            PodemOutcome::Aborted if self.config.engine == EngineKind::Hybrid => {
+                match sat().generate(fault, &mut cube) {
+                    SatOutcome::Test => Primary::Test {
+                        cube,
+                        rescued: true,
+                    },
+                    SatOutcome::Untestable => Primary::Untestable { reclassified: true },
+                    SatOutcome::Unknown => Primary::Aborted,
+                }
+            }
+            PodemOutcome::Aborted => Primary::Aborted,
+        }
+    }
+
+    /// The targeting loop. `primary(pos, scratch)` yields the primary
+    /// verdict of `order[pos]`, and `settled(idx)` hears of every status
+    /// write; everything else — secondary merges, fill, drop simulation,
+    /// status — happens here, in `order`, on the calling thread.
+    fn commit(
+        &self,
+        faults: &FaultList,
+        mut status: Vec<FaultStatus>,
+        order: &[usize],
+        mut primary: impl FnMut(usize, &mut PodemScratch) -> Primary,
+        settled: impl Fn(usize),
+    ) -> AtpgRun {
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let mut patterns = PatternSet {
             fill: Some(self.config.fill),
@@ -251,10 +383,13 @@ impl<'a> Generator<'a> {
         };
         let list = faults.faults();
         // Drop simulation: the filled pattern is ground truth for status.
+        // One pattern per call, on this thread: a per-pattern fan-out
+        // costs more than it saves, and speculators use the other cores.
         let mut grader = FaultGrader::new(&self.fault_sim, faults, |i| {
             status[i] == FaultStatus::Detected
-        });
-        // One simulation scratch for every PODEM call in the run: the
+        })
+        .on_calling_thread();
+        // One simulation scratch for every PODEM call on this thread: the
         // engine resyncs it incrementally instead of re-simulating the
         // whole netlist three times per decision.
         let mut podem_scratch = PodemScratch::default();
@@ -276,55 +411,27 @@ impl<'a> Generator<'a> {
             if status[idx] != FaultStatus::Undetected {
                 continue;
             }
-            let mut pattern = TestPattern::unspecified(self.netlist);
-            let primary = match self.config.engine {
-                EngineKind::Podem | EngineKind::Hybrid => {
-                    let _span = scap_obs::span!("atpg.podem_primary");
-                    self.podem
-                        .generate_with_scratch(list[idx], &mut pattern, &mut podem_scratch)
-                }
-                EngineKind::Sat => {
-                    let sat = self.sat.as_ref().expect("sat engine built for engine=sat");
-                    match sat.generate(list[idx], &mut pattern) {
-                        SatOutcome::Test => PodemOutcome::Test,
-                        SatOutcome::Untestable => PodemOutcome::Untestable,
-                        SatOutcome::Unknown => PodemOutcome::Aborted,
+            let mut pattern = match primary(pos, &mut podem_scratch) {
+                Primary::Test { cube, rescued } => {
+                    if rescued {
+                        scap_obs::counter!("atpg.sat_rescued_tests").incr();
                     }
+                    cube
                 }
-            };
-            match primary {
-                PodemOutcome::Untestable => {
+                Primary::Untestable { reclassified } => {
+                    if reclassified {
+                        scap_obs::counter!("atpg.reclassified_untestable").incr();
+                    }
                     status[idx] = FaultStatus::Untestable;
+                    settled(idx);
                     continue;
                 }
-                PodemOutcome::Aborted => {
-                    if self.config.engine == EngineKind::Hybrid {
-                        // A PODEM abort proves nothing. Ask the SAT
-                        // engine for a verdict: UNSAT is a proof of
-                        // untestability (the fault leaves the coverage
-                        // denominator), a model is a test PODEM missed.
-                        let sat = self.sat.as_ref().expect("sat engine built for hybrid");
-                        match sat.generate(list[idx], &mut pattern) {
-                            SatOutcome::Test => {
-                                scap_obs::counter!("atpg.sat_rescued_tests").incr();
-                            }
-                            SatOutcome::Untestable => {
-                                scap_obs::counter!("atpg.reclassified_untestable").incr();
-                                status[idx] = FaultStatus::Untestable;
-                                continue;
-                            }
-                            SatOutcome::Unknown => {
-                                status[idx] = FaultStatus::Aborted;
-                                continue;
-                            }
-                        }
-                    } else {
-                        status[idx] = FaultStatus::Aborted;
-                        continue;
-                    }
+                Primary::Aborted => {
+                    status[idx] = FaultStatus::Aborted;
+                    settled(idx);
+                    continue;
                 }
-                PodemOutcome::Test => {}
-            }
+            };
             // Greedy dynamic compaction: pull further undetected faults
             // into the same pattern until merges keep failing.
             let mut fails = 0u32;
@@ -370,6 +477,7 @@ impl<'a> Generator<'a> {
                 let frames = self.fault_sim.frames(&batch.load_words, &batch.pi_words);
                 for i in grader.apply(patterns.len(), &[(frames, batch.valid_mask)]) {
                     status[i as usize] = FaultStatus::Detected;
+                    settled(i as usize);
                 }
             }
             patterns.push(pattern, filled);
@@ -379,6 +487,178 @@ impl<'a> Generator<'a> {
             status,
             first_detection: (0..list.len()).map(|i| grader.first_detection(i)).collect(),
             uncollapsed_total: faults.uncollapsed_count(),
+        }
+    }
+}
+
+/// What the targeting loop (the committer) shares with its speculator
+/// threads. Speculators claim `order` positions in sequence, run each
+/// claimed fault's primary search with their own scratch and park the
+/// verdict in a ring slot; the committer takes the verdicts in `order`.
+/// It alone writes the statuses, so the run is the width-1 run whatever
+/// the speculators' timing.
+struct Speculation {
+    /// The next `order` position a speculator claims.
+    cursor: AtomicUsize,
+    /// Per fault: has the committer moved it out of `Undetected`? Only a
+    /// hint that saves a speculator a wasted search; the committer reads
+    /// its own statuses.
+    settled: Vec<AtomicBool>,
+    ring: Mutex<Ring>,
+    /// Speculators wait here for the window to reach their position.
+    window: Condvar,
+    /// The committer waits here for the slot of its position.
+    filled: Condvar,
+}
+
+/// The lock-protected half of [`Speculation`].
+struct Ring {
+    /// Slot `pos % LOOKAHEAD` holds `(pos, verdict)` once a speculator
+    /// stores position `pos`'s verdict.
+    slots: Vec<Option<(usize, Primary)>>,
+    /// The committer has taken every position below this one: the
+    /// window is `commit..commit + LOOKAHEAD`.
+    commit: usize,
+    /// The committer is done, or unwinding, or a speculator unwound.
+    stop: bool,
+    /// A speculator unwound; the position it held never fills.
+    failed: bool,
+}
+
+impl Speculation {
+    fn new(status: &[FaultStatus]) -> Self {
+        Speculation {
+            cursor: AtomicUsize::new(0),
+            settled: status
+                .iter()
+                .map(|&s| AtomicBool::new(s != FaultStatus::Undetected))
+                .collect(),
+            ring: Mutex::new(Ring {
+                slots: (0..LOOKAHEAD).map(|_| None).collect(),
+                commit: 0,
+                stop: false,
+                failed: false,
+            }),
+            window: Condvar::new(),
+            filled: Condvar::new(),
+        }
+    }
+
+    /// The ring, whatever a panicking thread left it as: every field is
+    /// written whole, so a poisoned lock holds nothing half-updated.
+    fn lock(&self) -> MutexGuard<'_, Ring> {
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Committer: records that fault `idx` left `Undetected`.
+    fn settle(&self, idx: usize) {
+        self.settled[idx].store(true, Ordering::Relaxed);
+    }
+
+    /// Committer: moves the window to start at `commit`.
+    fn advance(&self, ring: &mut Ring, commit: usize) {
+        ring.commit = commit;
+        self.window.notify_all();
+    }
+
+    /// Committer: the verdict of position `pos`, whose fault is
+    /// `Undetected`, blocking until a speculator stores it. A speculator
+    /// never skips such a position (the settled hint lags the status), so
+    /// the wait ends unless a speculator unwound, which panics here.
+    fn take(&self, pos: usize) -> Primary {
+        let slot = pos % LOOKAHEAD;
+        let ready = |ring: &Ring| matches!(ring.slots[slot], Some((p, _)) if p == pos);
+        let mut ring = self.lock();
+        self.advance(&mut ring, pos);
+        if !ready(&ring) {
+            let _span = scap_obs::span!("atpg.commit_wait");
+            while !ready(&ring) {
+                if ring.failed {
+                    panic!("a primary-search speculator panicked");
+                }
+                ring = self
+                    .filled
+                    .wait(ring)
+                    .unwrap_or_else(PoisonError::into_inner);
+            }
+        }
+        let (_, verdict) = ring.slots[slot].take().expect("the slot was just checked");
+        self.advance(&mut ring, pos + 1);
+        scap_obs::counter!("atpg.speculation_used").incr();
+        verdict
+    }
+
+    /// Speculator: claims positions in sequence and stores the primary
+    /// verdict of each one whose fault is not known to be settled, never
+    /// more than [`LOOKAHEAD`] positions past the committer.
+    fn speculate(&self, gen: &Generator<'_>, list: &[TransitionFault], order: &[usize]) {
+        let _unwind = WakeOnUnwind(self);
+        let mut scratch = PodemScratch::default();
+        loop {
+            let pos = self.cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(&idx) = order.get(pos) else {
+                return;
+            };
+            if self.settled[idx].load(Ordering::Relaxed) {
+                continue;
+            }
+            {
+                let mut ring = self.lock();
+                while !ring.stop && pos >= ring.commit + LOOKAHEAD {
+                    ring = self
+                        .window
+                        .wait(ring)
+                        .unwrap_or_else(PoisonError::into_inner);
+                }
+                if ring.stop {
+                    return;
+                }
+                // The committer went past `pos`: it found the fault settled.
+                if pos < ring.commit {
+                    continue;
+                }
+            }
+            if self.settled[idx].load(Ordering::Relaxed) {
+                continue;
+            }
+            let verdict = gen.primary(list[idx], &mut scratch);
+            scap_obs::counter!("atpg.speculated").incr();
+            let mut ring = self.lock();
+            if ring.stop {
+                return;
+            }
+            if pos >= ring.commit {
+                ring.slots[pos % LOOKAHEAD] = Some((pos, verdict));
+                self.filled.notify_one();
+            }
+        }
+    }
+}
+
+/// Stops the speculators when the committer's loop ends, however it
+/// ends.
+struct StopOnDrop<'s>(&'s Speculation);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        let mut ring = self.0.lock();
+        ring.stop = true;
+        self.0.window.notify_all();
+    }
+}
+
+/// Wakes the committer (and the other speculators) when a speculator
+/// unwinds, so the run ends in a panic rather than a hang.
+struct WakeOnUnwind<'s>(&'s Speculation);
+
+impl Drop for WakeOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let mut ring = self.0.lock();
+            ring.failed = true;
+            ring.stop = true;
+            self.0.filled.notify_all();
+            self.0.window.notify_all();
         }
     }
 }
@@ -693,5 +973,96 @@ mod tests {
         let gen = Generator::new(&n, ClockId::new(0), cfg);
         let run = gen.run(&faults);
         assert!(run.patterns.len() <= 2);
+    }
+
+    /// The run at `threads` over the identity order.
+    fn run_at(gen: &Generator<'_>, threads: usize, faults: &FaultList) -> AtpgRun {
+        let order: Vec<usize> = (0..faults.faults().len()).collect();
+        let status = vec![FaultStatus::Undetected; order.len()];
+        gen.run_at_width(threads, faults, status, &order)
+    }
+
+    fn assert_same_run(serial: &AtpgRun, parallel: &AtpgRun, what: &str) {
+        assert_eq!(serial.patterns.source, parallel.patterns.source, "{what}");
+        assert_eq!(serial.patterns.filled, parallel.patterns.filled, "{what}");
+        assert_eq!(serial.status, parallel.status, "{what}");
+        assert_eq!(serial.first_detection, parallel.first_detection, "{what}");
+    }
+
+    /// Speculated primaries commit to the width-1 run under every
+    /// engine, including SAT rescues and reclassifications after PODEM
+    /// aborts (a tight backtrack budget makes PODEM abort). The fault
+    /// list is longer than two windows, so ring slots are reused.
+    #[test]
+    fn speculative_runs_match_the_serial_run() {
+        let n = ring(96);
+        let faults = FaultList::full(&n);
+        assert!(faults.faults().len() > 2 * LOOKAHEAD);
+        for engine in [EngineKind::Podem, EngineKind::Sat, EngineKind::Hybrid] {
+            let cfg = AtpgConfig {
+                engine,
+                backtrack_limit: 2,
+                ..AtpgConfig::default()
+            };
+            let gen = Generator::new(&n, ClockId::new(0), cfg);
+            let serial = run_at(&gen, 1, &faults);
+            if engine == EngineKind::Podem {
+                assert!(serial.num_aborted() > 0, "the budget must make PODEM abort");
+            }
+            for threads in [2, 3, 8] {
+                let what = format!("{} at {threads} threads", engine.label());
+                assert_same_run(&serial, &run_at(&gen, threads, &faults), &what);
+            }
+        }
+    }
+
+    /// `max_patterns` ends a speculative run where it ends the serial
+    /// one, with speculators still holding unclaimed verdicts.
+    #[test]
+    fn max_patterns_stops_a_speculative_run() {
+        let n = ring(16);
+        let faults = FaultList::full(&n);
+        let cfg = AtpgConfig {
+            max_patterns: 3,
+            ..AtpgConfig::default()
+        };
+        let gen = Generator::new(&n, ClockId::new(0), cfg);
+        let serial = run_at(&gen, 1, &faults);
+        assert_eq!(serial.patterns.len(), 3, "the cap must bite");
+        assert!(serial.num_undetected() > 0, "the cap must leave work");
+        assert_same_run(&serial, &run_at(&gen, 3, &faults), "capped at 3 threads");
+    }
+
+    /// A primary search that panics on a speculator thread ends the run
+    /// with a panic: the committer, waiting on that fault's slot, is woken
+    /// rather than left to hang. The fault names an input pin its gate
+    /// does not have; the grader only reads the gate's output, so it
+    /// accepts the fault, but PODEM reads the pin's net.
+    #[test]
+    fn panicking_speculator_fails_the_run_instead_of_hanging() {
+        use scap_sim::{FaultSite, Polarity};
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let n = ring(8);
+            let bad = TransitionFault::new(
+                FaultSite::Pin {
+                    gate: scap_netlist::GateId::new(0),
+                    pin: 7,
+                },
+                Polarity::SlowToRise,
+            );
+            let mut list = vec![bad];
+            list.extend_from_slice(FaultList::full(&n).faults());
+            let faults = FaultList::from_faults(list, 0);
+            let gen = Generator::new(&n, ClockId::new(0), AtpgConfig::default());
+            let outcome =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_at(&gen, 2, &faults)));
+            done.send(outcome.is_err())
+                .expect("the test waits for the verdict");
+        });
+        let panicked = finished
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("the run hung after its speculator panicked");
+        assert!(panicked, "the run must end in a panic");
     }
 }

@@ -11,7 +11,7 @@
 //! * every test either engine finds detects the fault in the fault
 //!   simulator of the same launch mode,
 //! * the hybrid generator's pattern stream is bit-identical regardless
-//!   of the drop-simulation thread count.
+//!   of the thread count.
 //!
 //! A third, engine-free oracle checks the SAT encoding itself: on netlists
 //! small enough to enumerate every scan load and primary-input value, the
@@ -316,10 +316,10 @@ proptest! {
     }
 }
 
-/// The hybrid engine's pattern stream is bit-identical across
-/// drop-simulation thread counts: SAT rescues happen in the serial
-/// targeting loop, and the PPSFP drop kernel is sharded
-/// deterministically.
+/// The hybrid engine's pattern stream is bit-identical across thread
+/// counts: at three threads two speculators run the PODEM searches and
+/// the SAT calls after their aborts, and the targeting loop commits
+/// their verdicts in fault order, as one thread does alone.
 #[test]
 fn hybrid_stream_is_thread_count_invariant() {
     for seed in 0..6u64 {

@@ -31,7 +31,17 @@
 //! `scripts/check.sh` holds the fleets against: the cluster exists for
 //! crash isolation, and the gate bounds what that isolation costs next
 //! to the single process.
+//!
+//! The last stage, `thread_scaling`, reruns both flows at two threads,
+//! where the pattern generator speculates primary searches on a second
+//! thread, and asserts that their patterns, steps and statuses equal the
+//! runs above. Its `thread_scaling` field holds each flow's wall-clock
+//! at both widths and the speedup; the transcript prints only the
+//! identity verdict. How many searches a speculator wastes depends on
+//! timing, so the printed counter table and the JSON `totals` stop
+//! before this stage; its own deltas are in its stage entry.
 
+use scap::flows::FlowResult;
 use scap::{ablation, experiments, flows, CaseStudy, PatternAnalyzer};
 use scap_cluster::{ClusterConfig, Coordinator, Ring};
 use scap_obs::SpanSnapshot;
@@ -53,6 +63,17 @@ struct Stage {
     /// HTTP throughput over the stage (completed requests per
     /// wall-clock second), for the serving stages.
     requests_per_sec: Option<f64>,
+    /// The flows' wall-clock at two widths, for `thread_scaling`.
+    scaling: Option<Scaling>,
+}
+
+/// Both flows rerun at another width, against the evaluation's runs.
+struct Scaling {
+    threads: usize,
+    /// Patterns, steps and statuses equal the evaluation's runs.
+    identical: bool,
+    /// `(flow, ms at the evaluation's width, ms at `threads`)`.
+    flows: Vec<(&'static str, f64, f64)>,
 }
 
 /// Per-stage wall-clock + metrics collector feeding
@@ -88,6 +109,7 @@ impl StageClock {
             spans,
             checks_per_sec,
             requests_per_sec: None,
+            scaling: None,
         });
         out
     }
@@ -141,6 +163,21 @@ impl StageClock {
             }
             if let Some(rps) = stage.requests_per_sec {
                 o.raw("requests_per_sec", &f64_token_fixed(rps, 2));
+            }
+            if let Some(scaling) = &stage.scaling {
+                let mut flows = Obj::new();
+                for &(flow, base_ms, ms) in &scaling.flows {
+                    let mut f = Obj::new();
+                    f.raw("base_ms", &f64_token_fixed(base_ms, 3))
+                        .raw("ms", &f64_token_fixed(ms, 3))
+                        .raw("speedup", &f64_token_fixed(base_ms / ms, 3));
+                    flows.raw(flow, &f.finish());
+                }
+                let mut t = Obj::new();
+                t.u64("threads", scaling.threads as u64)
+                    .bool("identical", scaling.identical)
+                    .raw("flows", &flows.finish());
+                o.raw("thread_scaling", &t.finish());
             }
             o.raw("metrics", &metrics.finish())
                 .raw("spans", &spans.finish());
@@ -350,6 +387,62 @@ fn serving_tier(clock: &mut StageClock) {
             rps / solo
         );
     }
+}
+
+/// Width of the `thread_scaling` reruns: one targeting loop and one
+/// speculator.
+const SCALING_THREADS: usize = 2;
+
+/// The `thread_scaling` stage: reruns both flows at [`SCALING_THREADS`]
+/// through the process-wide default width, restores `threads`
+/// afterwards, and asserts that the reruns equal `runs`.
+fn thread_scaling(
+    clock: &mut StageClock,
+    study: &CaseStudy,
+    threads: usize,
+    runs: [(&'static str, &'static str, &FlowResult); 2],
+) {
+    let reruns = clock.time("thread_scaling", || {
+        scap_exec::set_default_threads(SCALING_THREADS);
+        let reruns = [flows::conventional, flows::noise_aware].map(|flow| {
+            let t = Instant::now();
+            let rerun = flow(study);
+            (rerun, t.elapsed().as_secs_f64() * 1e3)
+        });
+        scap_exec::set_default_threads(threads);
+        reruns
+    });
+    let identical = runs.iter().zip(&reruns).all(|((_, _, run), (rerun, _))| {
+        run.patterns.source == rerun.patterns.source
+            && run.patterns.filled == rerun.patterns.filled
+            && run.steps == rerun.steps
+            && run.status == rerun.status
+    });
+    assert!(
+        identical,
+        "a flow at {SCALING_THREADS} threads differs from its {threads}-thread run"
+    );
+    println!(
+        "Thread scaling: both flows at {SCALING_THREADS} threads are identical to their \
+         {threads}-thread runs (patterns, steps, status)"
+    );
+    let base_ms = |stage| {
+        clock
+            .stages
+            .iter()
+            .find(|s| s.name == stage)
+            .map_or(0.0, |s| s.ms)
+    };
+    let scaling = Scaling {
+        threads: SCALING_THREADS,
+        identical,
+        flows: runs
+            .iter()
+            .zip(&reruns)
+            .map(|(&(flow, stage, _), &(_, ms))| (flow, base_ms(stage), ms))
+            .collect(),
+    };
+    clock.stages.last_mut().expect("just timed").scaling = Some(scaling);
 }
 
 fn main() {
@@ -613,14 +706,29 @@ fn main() {
     println!("\n[{}s] running the serving tier …", t0.elapsed().as_secs());
     serving_tier(&mut clock);
 
+    // Thread scaling, last: the totals below stop before it.
+    let totals = scap_obs::snapshot();
+    println!(
+        "\n[{}s] rerunning both flows at {SCALING_THREADS} threads …",
+        t0.elapsed().as_secs()
+    );
+    thread_scaling(
+        &mut clock,
+        &study,
+        threads,
+        [
+            ("conventional", "flow_conventional", &conventional),
+            ("noise_aware", "flow_noise_aware", &noise_aware),
+        ],
+    );
+
     let total_ms = t0.elapsed().as_secs_f64() * 1e3;
     println!("\ntotal wall time: {:.0} s", total_ms / 1e3);
-    let final_snapshot = scap_obs::snapshot();
     // The high-water mark the executor actually reached — distinct from
     // the requested width when every map had fewer items than workers.
-    let effective_threads = final_snapshot.gauge("exec.effective_threads").unwrap_or(0);
-    println!("{}", scap_obs::render(&final_snapshot));
-    let json = clock.to_json(scale, threads, effective_threads, total_ms, &final_snapshot);
+    let effective_threads = totals.gauge("exec.effective_threads").unwrap_or(0);
+    println!("{}", scap_obs::render(&totals));
+    let json = clock.to_json(scale, threads, effective_threads, total_ms, &totals);
     let path = std::env::var("SCAP_BENCH_JSON").unwrap_or_else(|_| "BENCH_evaluation.json".into());
     match std::fs::write(&path, &json) {
         Ok(()) => println!("wrote {path}"),

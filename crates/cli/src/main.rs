@@ -70,7 +70,8 @@ fn usage() -> ExitCode {
          \n             127.0.0.1:7900), --probe-ms MS (default 500), plus per-worker\
          \n             --worker-threads, --queue-depth, --cache-capacity, --cache-cap\
          \n\
-         \n  --threads N  worker threads for the parallel hot loops; always wins\
+         \n  --threads N  worker threads for the parallel hot loops and ATPG's primary\
+         \n               searches; always wins\
          \n               (precedence: --threads, then SCAP_THREADS env, then cores)"
     );
     ExitCode::from(2)
@@ -205,6 +206,21 @@ fn profile(args: &Args) -> ExitCode {
             println!(
                 "block kernel utilization: {:.1}% ({patterns} patterns over {blocks} blocks of 64 lanes)",
                 patterns as f64 / (64 * blocks) as f64 * 100.0
+            );
+        }
+        // Primary searches run ahead on spare threads (--threads 2 and
+        // up): how many the targeting loop used, and how long it waited.
+        if let Some(speculated) = snap.counter("atpg.speculated").filter(|&n| n > 0) {
+            let used = snap.counter("atpg.speculation_used").unwrap_or(0);
+            let wait_ms = snap
+                .spans
+                .iter()
+                .find(|(n, _)| *n == "atpg.commit_wait")
+                .map_or(0.0, |(_, s)| s.total_ns as f64 / 1e6);
+            println!(
+                "speculated primary searches: {used} of {speculated} used ({:.1}% wasted), \
+                 targeting loop waited {wait_ms:.0} ms",
+                speculated.saturating_sub(used) as f64 / speculated as f64 * 100.0
             );
         }
     }

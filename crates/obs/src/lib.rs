@@ -82,7 +82,18 @@
 //! * `atpg.*` — spans around the PODEM primary/secondary passes, the
 //!   fill of each closed pattern (`atpg.fill`) and its drop simulation
 //!   (`atpg.drop_sim`). Like every span, `atpg.fill` and `grade.run`
-//!   are inert while collection is off.
+//!   are inert while collection is off. At two or more threads the
+//!   generator's speculator threads run the primary searches:
+//!   `atpg.speculated` counts the searches they finished and
+//!   `atpg.speculation_used` the verdicts the targeting loop took (the
+//!   difference is wasted work: faults drop simulation detected first),
+//!   and the `atpg.commit_wait` span times the loop blocked on a verdict
+//!   not stored yet. At that width the `atpg.podem_primary` and `sat.*`
+//!   totals include the wasted searches and depend on timing; at one
+//!   thread all of these are deterministic and the three speculation
+//!   metrics stay unregistered. `atpg.sat_rescued_tests` and
+//!   `atpg.reclassified_untestable` count committed verdicts only, so
+//!   they do not depend on the width.
 //! * `cg.*` — `cg.solves` counts power-grid solves, each a forward and
 //!   a back substitution through the grid's Cholesky factor. The `cg`
 //!   prefix is historical. It stays because the external benchmark

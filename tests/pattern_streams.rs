@@ -17,6 +17,15 @@
 //! were recorded with the truth-table-row encoding the D-chain encoding
 //! replaced.
 //!
+//! The primary-search pin hashes PODEM's outcome and cube for every
+//! fault of the full list under both launch modes, each search from the
+//! unspecified pattern. The generator's speculator threads rely on that
+//! search being a function of its fault alone, whatever the scratch
+//! state it starts from, so the digest is taken twice: with a fresh
+//! scratch per fault, and with one shared scratch that also runs a
+//! secondary merge between primaries, as the targeting loop does. The
+//! expected digests were recorded before speculation was added.
+//!
 //! The sign-off pin hashes what the paper's §3.2 sign-off computes from
 //! both flows' patterns: each pattern's toggle trace, SCAP energies,
 //! worst IR drops and the ×40 timing screen. A change to the event
@@ -29,7 +38,9 @@ use scap::dft::{PatternSet, TestPattern};
 use scap::flows;
 use scap::sim::{FaultList, LaunchMode};
 use scap::sta::TimingScreen;
-use scap::tgen::{AtpgConfig, EngineKind, Generator, SatAtpg, SatOutcome};
+use scap::tgen::{
+    AtpgConfig, EngineKind, Generator, Podem, PodemOutcome, PodemScratch, SatAtpg, SatOutcome,
+};
 use scap::{CaseStudy, PatternAnalyzer};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -162,6 +173,58 @@ fn sat_verdicts_are_pinned() {
         (0xf099_3060_f1d7_deb4, [2741, 633, 0]),
         "launch-off-shift SAT verdicts moved"
     );
+}
+
+/// FNV-1a over the primary search of every fault of the full list, from
+/// the unspecified pattern at the default backtrack budget: the outcome
+/// (0 test, 1 untestable, 2 aborted), then the cube's load and PI values.
+/// With `shared`, every search runs on one scratch, and after each one a
+/// secondary merge of the next fault into the cube dirties it further.
+fn primary_digest(study: &CaseStudy, mode: LaunchMode, shared: bool) -> u64 {
+    let n = &study.design.netlist;
+    let podem = Podem::with_mode(n, study.clka(), mode, AtpgConfig::default().backtrack_limit);
+    let faults = FaultList::full(n);
+    let list = faults.faults();
+    let mut scratch = PodemScratch::new();
+    let mut h = Fnv::new();
+    for (i, &fault) in list.iter().enumerate() {
+        let mut cube = TestPattern::unspecified(n);
+        let outcome = if shared {
+            podem.generate_with_scratch(fault, &mut cube, &mut scratch)
+        } else {
+            podem.generate(fault, &mut cube)
+        };
+        h.word(match outcome {
+            PodemOutcome::Test => 0,
+            PodemOutcome::Untestable => 1,
+            PodemOutcome::Aborted => 2,
+        });
+        for &v in cube.load.iter().chain(&cube.pi) {
+            h.word(v as u64);
+        }
+        if shared {
+            let next = list[(i + 1) % list.len()];
+            podem.generate_with_scratch(next, &mut cube, &mut scratch);
+        }
+    }
+    h.0
+}
+
+#[test]
+fn primary_searches_are_pure_and_pinned() {
+    let study = CaseStudy::small();
+    for (mode, want) in [
+        (LaunchMode::Capture, 0xb8b1_395e_7d53_2265),
+        (LaunchMode::Shift, 0x991d_06b9_5f2d_4e86),
+    ] {
+        let fresh = primary_digest(&study, mode, false);
+        let shared = primary_digest(&study, mode, true);
+        assert_eq!(
+            fresh, shared,
+            "{mode:?}: a dirty scratch moved a primary search"
+        );
+        assert_eq!(fresh, want, "{mode:?}: primary searches moved: {fresh:#x}");
+    }
 }
 
 /// FNV-1a over one pattern set's sign-off, pattern by pattern: toggle
